@@ -96,9 +96,6 @@ class Alphabet:
     def render(self) -> str:
         return ",".join(str(letter) for letter in self.letters)
 
-    def with_letter(self, letter: Letter) -> "Alphabet":
-        return Alphabet(self.letters + (letter,))
-
     def gen_poly(self) -> Series2:
         """Counting polynomial: the coefficient of t^k is the number of
         letters of arity k."""
@@ -110,11 +107,3 @@ class Alphabet:
 
     def max_arity(self) -> int:
         return max((letter.arity for letter in self.letters), default=0)
-
-
-def gen_poly(alphabet: Alphabet) -> Series2:
-    return alphabet.gen_poly()
-
-
-def max_arity(alphabet: Alphabet) -> int:
-    return alphabet.max_arity()

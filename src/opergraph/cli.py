@@ -8,23 +8,35 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from importlib import resources
 
-from . import free_graphs, operads
 from .alphabet import Alphabet
-from .free_graphs import (hook_closed_form, phi_free, phi_self_singleton,
-                          prefix_pair, self_pair, theta_row_sums, twisted_hook)
-from .operads import get_operad, minimal_generators, up_operad, v_operad, v_operad_oracle
-from .tree import enumerate_trees, parse_term
+from .free_graphs import (hook_closed_form, phi_self_singleton, theta_row_sums,
+                          twisted_hook)
+from .operads import (get_operad, minimal_generators, prefix_graph, prefix_pair,
+                      self_pair, twisted_graph, up_operad, v_operad, v_operad_oracle)
+from .tree import TreeUniverse, enumerate_trees, parse_term
 from .tree_poset import (interval, interval_series, join, load, meet, shadow,
                          stringy_count)
 
 
-def _alphabet(text: str) -> Alphabet:
-    try:
-        return Alphabet.parse(text)
-    except ValueError as exc:
-        raise SystemExit(f"error: bad alphabet {text!r}: {exc}") from exc
+def _universe(alphabet: str | None, operad: str | None = None):
+    """The free operad on an alphabet (``''`` is the empty one), or else the
+    operad a selector names."""
+    if alphabet is not None:
+        return TreeUniverse(Alphabet.parse(alphabet))
+    return get_operad(operad)
+
+
+def _graph(universe, which: str):
+    """The U (prefix) or V (twisted) graph of a universe."""
+    return (prefix_graph if which == "u" else twisted_graph)(universe)
+
+
+def _pair(universe, which: str):
+    """The (U,V) pair, or the (U,U) pair for ``uu``."""
+    return (self_pair if which == "uu" else prefix_pair)(universe)
 
 
 def _emit(args, payload, plain):
@@ -37,8 +49,7 @@ def _emit(args, payload, plain):
 # -- subcommand handlers -------------------------------------------------------
 
 def cmd_trees(args) -> int:
-    alphabet = _alphabet(args.alphabet)
-    trees = enumerate_trees(alphabet, args.degree)
+    trees = enumerate_trees(Alphabet.parse(args.alphabet), args.degree)
     payload = {"count": len(trees)}
     if args.list:
         payload["trees"] = [t.term for t in trees]
@@ -54,7 +65,7 @@ def cmd_trees(args) -> int:
 
 
 def cmd_hook(args, twisted: bool) -> int:
-    alphabet = _alphabet(args.alphabet)
+    alphabet = Alphabet.parse(args.alphabet)
     stat = twisted_hook if twisted else hook_closed_form
     rows = [(t.term, stat(t)) for t in enumerate_trees(alphabet, args.degree)]
     _emit(args, {"degree": args.degree, "hooks": rows},
@@ -63,9 +74,7 @@ def cmd_hook(args, twisted: bool) -> int:
 
 
 def cmd_paths_series(args) -> int:
-    alphabet = _alphabet(args.alphabet)
-    graph = (free_graphs.prefix_graph(alphabet) if args.graph == "u"
-             else free_graphs.twisted_graph(alphabet))
+    graph = _graph(_universe(args.alphabet), args.graph)
     coeffs: list[int] = graph.initial_paths_series(args.max).t_coeff_list(args.max)
     _emit(args, {"graph": args.graph, "coefficients": coeffs},
           lambda: print(",".join(str(c) for c in coeffs)))
@@ -73,31 +82,23 @@ def cmd_paths_series(args) -> int:
 
 
 def cmd_check_duality(args) -> int:
-    if args.alphabet:
-        alphabet = _alphabet(args.alphabet)
-        pair = prefix_pair(alphabet)
-        phi = None if args.discover_phi else (lambda t: phi_free(t, alphabet))
-        render = pair.universe.render_elem
-    else:
-        op = get_operad(args.operad)
-        pair = operads.self_pair(op) if args.pair == "uu" else operads.prefix_pair(op)
-        wants_known = not args.discover_phi and args.pair == op.phi_pair
-        phi = op.phi if wants_known else None
-        render = op.render_elem
-    report = pair.check_phi_diagonal(phi, args.max)
+    universe = _universe(args.alphabet, args.operad)
+    known = not args.discover_phi and args.pair == universe.phi_pair
+    report = _pair(universe, args.pair).check_phi_diagonal(
+        universe.phi if known else None, args.max)
+    render = universe.render_elem
     if report.ok:
         payload = {"ok": True, "checked": report.checked, "max_rank": args.max}
         if report.table is not None:
             payload["phi"] = [[render(x), c] for x, c in
                               sorted(report.table.items(),
-                                     key=lambda kv: pair.universe.sort_key(kv[0]))]
+                                     key=lambda kv: universe.sort_key(kv[0]))]
+
         def plain():
             print(f"ok: diagonal duality verified on {report.checked} elements "
                   f"up to rank {args.max}")
-            if report.table is not None:
-                for x, c in sorted(report.table.items(), key=lambda kv:
-                                   pair.universe.sort_key(kv[0])):
-                    print(f"phi {render(x)} = {c}")
+            for name, c in payload.get("phi", ()):
+                print(f"phi {name} = {c}")
         _emit(args, payload, plain)
         return 0
     failure = report.witness()
@@ -105,13 +106,12 @@ def cmd_check_duality(args) -> int:
                "commutator": failure.commutator.to_json()}
     if failure.expected is not None:
         payload["expected"] = failure.expected.to_json()
-    _emit(args, payload, lambda: print(
-        f"FAIL: {failure.render(pair.universe)}"))
+    _emit(args, payload, lambda: print(f"FAIL: {failure.render(universe)}"))
     return 1
 
 
 def cmd_poset(args) -> int:
-    alphabet = _alphabet(args.alphabet)
+    alphabet = Alphabet.parse(args.alphabet)
     if args.poset_cmd == "meet":
         result = meet(parse_term(args.left, alphabet), parse_term(args.right, alphabet))
         _emit(args, {"meet": result.term}, lambda: print(result.term))
@@ -161,11 +161,9 @@ def cmd_operad(args) -> int:
         _emit(args, {"result": combo.to_json()}, lambda: print(combo.render()))
         return 0
     if args.operad_cmd == "hook":
-        slices = operads.prefix_graph(op).hook_slices(args.max)
-        rows = []
-        for rank, slice_ in enumerate(slices):
-            for x in op.elements_of_degree(rank):
-                rows.append([op.render_elem(x), slice_[x]])
+        rows = [[op.render_elem(x), c]
+                for slice_ in prefix_graph(op).iter_hook_slices(args.max)
+                for x, c in slice_.items()]
         _emit(args, {"hooks": rows},
               lambda: [print(f"{name} {value}") for name, value in rows])
         return 0
@@ -178,14 +176,7 @@ def cmd_operad(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    if args.alphabet:
-        alphabet = _alphabet(args.alphabet)
-        graph = (free_graphs.prefix_graph(alphabet) if args.graph == "u"
-                 else free_graphs.twisted_graph(alphabet))
-    else:
-        op = get_operad(args.operad)
-        graph = (operads.prefix_graph(op) if args.graph == "u"
-                 else operads.twisted_graph(op))
+    graph = _graph(_universe(args.alphabet, args.operad), args.graph)
     if args.json:
         print(json.dumps(graph.export_json(args.max)))
     else:
@@ -200,102 +191,114 @@ def load_fixtures() -> list[dict]:
     return json.loads(text)
 
 
+# sequence kinds: terms 0..n of the pinned sequence over the fixture's alphabet
+_SEQUENCES = {
+    "paths_series": lambda fx, alphabet, n:
+        _graph(TreeUniverse(alphabet), fx["graph"]).initial_paths_series(n).t_coeff_list(n),
+    "theta_rows": lambda fx, alphabet, n: theta_row_sums(alphabet, n),
+    "stringy": lambda fx, alphabet, n: [stringy_count(alphabet, d) for d in range(n + 1)],
+    "interval_q1": lambda fx, alphabet, n: interval_series(alphabet, n).eval_q(1).t_coeff_list(n),
+}
+
+# duality kinds that check the (U,U) pair although the fixture names no pair
+_SELF_PAIR_KINDS = ("free_self_duality", "free_self_duality_fails")
+
+
+def _fixture_pair(fx: dict):
+    universe = _universe(fx.get("alphabet"), fx.get("operad"))
+    which = "uu" if fx["kind"] in _SELF_PAIR_KINDS else fx.get("pair", "uv")
+    return universe, _pair(universe, which)
+
+
+def _check_sequence(fx: dict):
+    wanted = fx["terms"]
+    got = _SEQUENCES[fx["kind"]](fx, Alphabet.parse(fx["alphabet"]), len(wanted) - 1)
+    return got == wanted, str(wanted), str(got)
+
+
+def _check_interval_poly(fx: dict):
+    rows = fx["rows"]
+    series = interval_series(Alphabet.parse(fx["alphabet"]), len(rows) - 1)
+    got = [[series.coeff(i, j) for i in range(j + 1)] for j in range(len(rows))]
+    ok = got == rows
+    if "displayed_rows" in fx:
+        # the printed table lists each row by co-degree (reversed)
+        ok = ok and [list(reversed(r)) for r in got] == fx["displayed_rows"]
+    return ok, str(rows), str(got)
+
+
+def _check_shadow_load(fx: dict):
+    got = load(shadow(parse_term(fx["term"], Alphabet.parse(fx["alphabet"]))))
+    return got == fx["expected"], str(fx["expected"]), str(got)
+
+
+def _check_hooks(fx: dict):
+    universe = get_operad(fx["operad"])
+    got = {universe.render_elem(x): c
+           for slice_ in prefix_graph(universe).iter_hook_slices(fx["max_degree"])
+           for x, c in slice_.items()}
+    wanted = fx["coeffs"]
+    return got == wanted, f"{len(wanted)} pinned coefficients", str(got)
+
+
+def _check_uniform_hooks(fx: dict):
+    universe = get_operad(fx["operad"])
+    per_degree = fx["per_degree"]
+    slices = prefix_graph(universe).iter_hook_slices(len(per_degree) - 1)
+    for d, slice_ in enumerate(slices):
+        for x, c in slice_.items():
+            if c != per_degree[d]:
+                return (False, f"{per_degree[d]} at every degree-{d} element",
+                        f"{c} at {universe.render_elem(x)}")
+    return True, "uniform per-degree hooks", "uniform per-degree hooks"
+
+
+def _check_duality(fx: dict):
+    universe, pair = _fixture_pair(fx)
+    phi = (partial(phi_self_singleton, alphabet=universe.alphabet)
+           if fx["kind"] == "free_self_duality" else universe.phi)
+    report = pair.check_phi_diagonal(phi, fx["max_degree"])
+    return report.ok, "diagonal", "diagonal" if report.ok else \
+        report.witness().render(universe)
+
+
+def _check_witness(fx: dict):
+    """The first non-diagonal commutator, and its terms when pinned."""
+    universe, pair = _fixture_pair(fx)
+    report = pair.check_phi_diagonal(None, fx["max_degree"])
+    if report.ok:
+        return False, "a non-diagonal witness", "diagonal everywhere"
+    witness = report.witness()
+    render = universe.render_elem
+    wanted, got = fx["witness"], render(witness.element)
+    ok = got == wanted
+    if "commutator" in fx:
+        got_comm = {render(x): c for x, c in witness.commutator.terms()}
+        ok = ok and got_comm == fx["commutator"]
+        wanted, got = f"{wanted} -> {fx['commutator']}", f"{got} -> {got_comm}"
+    return ok, wanted, got
+
+
+_CHECKS = {
+    **dict.fromkeys(_SEQUENCES, _check_sequence),
+    "interval_poly": _check_interval_poly,
+    "shadow_load": _check_shadow_load,
+    "operad_hook": _check_hooks,
+    "hook_all_equal": _check_uniform_hooks,
+    "free_duality": _check_duality,
+    "free_self_duality": _check_duality,
+    "operad_duality": _check_duality,
+    "free_self_duality_fails": _check_witness,
+    "operad_not_diagonal": _check_witness,
+}
+
+
 def run_fixture(fx: dict) -> tuple[bool, str, str]:
     """Returns (ok, expected description, actual description)."""
-    kind = fx["kind"]
-    if kind == "paths_series":
-        alphabet = Alphabet.parse(fx["alphabet"])
-        graph = (free_graphs.prefix_graph(alphabet) if fx["graph"] == "u"
-                 else free_graphs.twisted_graph(alphabet))
-        wanted = fx["terms"]
-        got = graph.initial_paths_series(len(wanted) - 1).t_coeff_list(len(wanted) - 1)
-        return got == wanted, str(wanted), str(got)
-    if kind == "theta_rows":
-        alphabet = Alphabet.parse(fx["alphabet"])
-        wanted = fx["terms"]
-        got = theta_row_sums(alphabet, len(wanted) - 1)
-        return got == wanted, str(wanted), str(got)
-    if kind == "stringy":
-        alphabet = Alphabet.parse(fx["alphabet"])
-        wanted = fx["terms"]
-        got = [stringy_count(alphabet, d) for d in range(len(wanted))]
-        return got == wanted, str(wanted), str(got)
-    if kind == "interval_q1":
-        alphabet = Alphabet.parse(fx["alphabet"])
-        wanted = fx["terms"]
-        series = interval_series(alphabet, len(wanted) - 1)
-        got = series.eval_q(1).t_coeff_list(len(wanted) - 1)
-        return got == wanted, str(wanted), str(got)
-    if kind == "interval_poly":
-        alphabet = Alphabet.parse(fx["alphabet"])
-        rows = fx["rows"]
-        series = interval_series(alphabet, len(rows) - 1)
-        got = [[series.coeff(i, j) for i in range(j + 1)] for j in range(len(rows))]
-        ok = got == rows
-        if "displayed_rows" in fx:
-            # the printed table lists each row by co-degree (reversed)
-            ok = ok and [list(reversed(r)) for r in got] == fx["displayed_rows"]
-        return ok, str(rows), str(got)
-    if kind == "shadow_load":
-        alphabet = Alphabet.parse(fx["alphabet"])
-        got = load(shadow(parse_term(fx["term"], alphabet)))
-        return got == fx["expected"], str(fx["expected"]), str(got)
-    if kind == "operad_hook":
-        op = get_operad(fx["operad"])
-        slices = operads.prefix_graph(op).hook_slices(fx["max_degree"])
-        got = {op.render_elem(x): c for slice_ in slices for x, c in slice_.items()}
-        wanted = fx["coeffs"]
-        return got == wanted, f"{len(wanted)} pinned coefficients", str(got)
-    if kind == "hook_all_equal":
-        op = get_operad(fx["operad"])
-        per_degree = fx["per_degree"]
-        slices = operads.prefix_graph(op).hook_slices(len(per_degree) - 1)
-        for d, slice_ in enumerate(slices):
-            for x, c in slice_.items():
-                if c != per_degree[d]:
-                    return (False, f"{per_degree[d]} at every degree-{d} element",
-                            f"{c} at {op.render_elem(x)}")
-        return True, "uniform per-degree hooks", "uniform per-degree hooks"
-    if kind == "free_duality":
-        alphabet = Alphabet.parse(fx["alphabet"])
-        pair = prefix_pair(alphabet)
-        report = pair.check_phi_diagonal(lambda t: phi_free(t, alphabet), fx["max_degree"])
-        return report.ok, "diagonal", "diagonal" if report.ok else \
-            report.witness().render(pair.universe)
-    if kind == "free_self_duality":
-        alphabet = Alphabet.parse(fx["alphabet"])
-        pair = self_pair(alphabet)
-        report = pair.check_phi_diagonal(lambda t: phi_self_singleton(t, alphabet),
-                                         fx["max_degree"])
-        return report.ok, "diagonal", "diagonal" if report.ok else \
-            report.witness().render(pair.universe)
-    if kind == "free_self_duality_fails":
-        alphabet = Alphabet.parse(fx["alphabet"])
-        pair = self_pair(alphabet)
-        report = pair.check_phi_diagonal(None, fx["max_degree"])
-        if report.ok:
-            return False, "a non-diagonal witness", "diagonal everywhere"
-        witness = report.witness()
-        got = pair.universe.render_elem(witness.element)
-        return got == fx["witness"], fx["witness"], got
-    if kind == "operad_duality":
-        op = get_operad(fx["operad"])
-        pair = operads.self_pair(op) if fx["pair"] == "uu" else operads.prefix_pair(op)
-        report = pair.check_phi_diagonal(op.phi, fx["max_degree"])
-        return report.ok, "diagonal", "diagonal" if report.ok else \
-            report.witness().render(op)
-    if kind == "operad_not_diagonal":
-        op = get_operad(fx["operad"])
-        pair = operads.prefix_pair(op)
-        report = pair.check_phi_diagonal(None, fx["max_degree"])
-        if report.ok:
-            return False, "a non-diagonal witness", "diagonal everywhere"
-        witness = report.witness()
-        got_witness = op.render_elem(witness.element)
-        got_comm = {op.render_elem(x): c for x, c in witness.commutator.terms()}
-        ok = got_witness == fx["witness"] and got_comm == fx["commutator"]
-        return ok, f"{fx['witness']} -> {fx['commutator']}", f"{got_witness} -> {got_comm}"
-    raise ValueError(f"unknown fixture kind {kind!r}")
+    check = _CHECKS.get(fx["kind"])
+    if check is None:
+        raise ValueError(f"unknown fixture kind {fx['kind']!r}")
+    return check(fx)
 
 
 def verify_fixtures(pattern: str | None = None) -> list[tuple[dict, bool, str, str]]:

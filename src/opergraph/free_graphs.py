@@ -5,6 +5,10 @@ Up in the prefix graph grafts one corolla onto a leaf; its adjoint deletes a
 maximal node.  The twisted adjoint contracts a quasi-maximal node (an
 internal node reachable without first-child steps whose children beyond the
 first are leaves); its adjoint inserts above first children only.
+
+Trees over an alphabet are the free operad ``tree.TreeUniverse``, which
+carries these four maps; the graphs come from the builders in ``operads``,
+and the alphabet-taking functions here are calls on that universe.
 """
 from __future__ import annotations
 
@@ -12,105 +16,22 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
+from . import operads
 from .alphabet import Alphabet
 from .graded_graph import GradedGraph, GradedGraphPair
+from .operads import OracleBoundError
 from .poly import Combination
-from .tree import (LEAF, SyntaxTree, TreeUniverse, compose_index, corolla, node,
-                   node_stats)
+from .tree import SyntaxTree, TreeUniverse, node_stats
 
 
-class OracleBoundError(ValueError):
-    """Input too large for a brute-force oracle."""
-
-
-# -- the four linear maps -----------------------------------------------------
-
-def up_free(t: SyntaxTree, alphabet: Alphabet) -> Combination:
-    """Graft each letter onto each leaf; always simple (coefficients 1)."""
-    universe = TreeUniverse(alphabet)
-    terms = {}
-    for letter in alphabet:
-        c = corolla(letter)
-        for i in range(1, t.arity + 1):
-            result = compose_index(t, i, c)
-            terms[result] = terms.get(result, 0) + 1
-    return Combination(universe, terms)
-
-
-_DELETIONS: dict[SyntaxTree, tuple[SyntaxTree, ...]] = {}
-
-
-def _deletions(t: SyntaxTree) -> tuple[SyntaxTree, ...]:
-    """Deletions of t at each of its maximal nodes (alphabet independent)."""
-    cached = _DELETIONS.get(t)
-    if cached is not None:
-        return cached
-    if t.is_leaf:
-        out: tuple[SyntaxTree, ...] = ()
-    elif all(c.is_leaf for c in t.children):
-        out = (LEAF,)
-    else:
-        acc = []
-        kids = t.children
-        for i, child in enumerate(kids):
-            for d in _deletions(child):
-                acc.append(node(t.letter, kids[:i] + (d,) + kids[i + 1:]))
-        out = tuple(acc)
-    _DELETIONS[t] = out
-    return out
-
+# -- the star maps ----------------------------------------------------------------
 
 def up_star_free(t: SyntaxTree, alphabet: Alphabet) -> Combination:
-    return Combination(TreeUniverse(alphabet), {d: 1 for d in _deletions(t)})
-
-
-_CONTRACTIONS: dict[SyntaxTree, tuple[SyntaxTree, ...]] = {}
-
-
-def _contractions(t: SyntaxTree) -> tuple[SyntaxTree, ...]:
-    """Contractions of t at each of its quasi-maximal nodes.
-
-    Recursively: nothing on the leaf; the root itself when every child past
-    the first is a leaf; otherwise contractions inside children 2..k.
-    """
-    cached = _CONTRACTIONS.get(t)
-    if cached is not None:
-        return cached
-    if t.is_leaf:
-        out: tuple[SyntaxTree, ...] = ()
-    else:
-        kids = t.children
-        if all(c.is_leaf for c in kids[1:]):
-            out = (kids[0],)
-        else:
-            acc = []
-            for j in range(1, len(kids)):
-                for c in _contractions(kids[j]):
-                    acc.append(node(t.letter, kids[:j] + (c,) + kids[j + 1:]))
-            out = tuple(acc)
-    _CONTRACTIONS[t] = out
-    return out
+    return TreeUniverse(alphabet).up_star(t)
 
 
 def v_star_free(t: SyntaxTree, alphabet: Alphabet) -> Combination:
-    return Combination(TreeUniverse(alphabet), {c: 1 for c in _contractions(t)})
-
-
-def v_free(t: SyntaxTree, alphabet: Alphabet) -> Combination:
-    """Adjoint of the twisted contraction map: a new root above, or a
-    recursive insertion inside a child past the first."""
-    universe = TreeUniverse(alphabet)
-    terms: dict[SyntaxTree, int] = {}
-    for letter in alphabet:
-        grown = compose_index(corolla(letter), 1, t)
-        terms[grown] = terms.get(grown, 0) + 1
-    if not t.is_leaf:
-        kids = t.children
-        for j in range(1, len(kids)):
-            for inner, c in v_free(kids[j], alphabet).terms():
-                grown = node(t.letter, kids[:j] + (inner,) + kids[j + 1:])
-                terms[grown] = terms.get(grown, 0) + c
-    return Combination(universe, terms)
+    return TreeUniverse(alphabet).v_star(t)
 
 
 # -- hook statistics ------------------------------------------------------------
@@ -152,17 +73,9 @@ def twisted_hook(t: SyntaxTree) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def nf(t: SyntaxTree) -> int:
-    """Number of leaves whose address avoids the integer 1."""
-    if t.is_leaf:
-        return 1
-    return sum(nf(c) for c in t.children[1:])
-
-
 def phi_free(t: SyntaxTree, alphabet: Alphabet) -> int:
     """Diagonal coefficient making the prefix/twisted pair dual."""
-    return len(alphabet) * nf(t)
+    return TreeUniverse(alphabet).phi(t)
 
 
 @lru_cache(maxsize=None)
@@ -251,26 +164,17 @@ def theta_row_sums(alphabet: Alphabet, d_max: int) -> list[int]:
 
 # -- graph builders ----------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def prefix_graph(alphabet: Alphabet) -> GradedGraph:
-    return GradedGraph(TreeUniverse(alphabet),
-                       up=lambda t: up_free(t, alphabet),
-                       up_star=lambda t: up_star_free(t, alphabet),
-                       name=f"prefix({alphabet.render()})")
+    return operads.prefix_graph(TreeUniverse(alphabet))
 
 
-@lru_cache(maxsize=None)
 def twisted_graph(alphabet: Alphabet) -> GradedGraph:
-    return GradedGraph(TreeUniverse(alphabet),
-                       up=lambda t: v_free(t, alphabet),
-                       up_star=lambda t: v_star_free(t, alphabet),
-                       name=f"twisted({alphabet.render()})")
+    return operads.twisted_graph(TreeUniverse(alphabet))
 
 
 def prefix_pair(alphabet: Alphabet) -> GradedGraphPair:
-    return GradedGraphPair(prefix_graph(alphabet), twisted_graph(alphabet))
+    return operads.prefix_pair(TreeUniverse(alphabet))
 
 
 def self_pair(alphabet: Alphabet) -> GradedGraphPair:
-    g = prefix_graph(alphabet)
-    return GradedGraphPair(g, g)
+    return operads.self_pair(TreeUniverse(alphabet))

@@ -4,13 +4,14 @@ A graph is specified by its universe (rank slices, root) and a linear map
 ``up`` sending each element to a combination supported one rank higher.
 Adjoints, path counting, hook series and the duality commutators are all
 derived here; concrete graphs plug in their universe and up map (and an
-explicit adjoint when a fast direct description exists).
+explicit adjoint when a fast direct description exists).  The prefix and
+twisted graphs of every operad, trees included, are built by the builders
+in ``operads``.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .poly import Combination
 from .series import Series2
@@ -24,7 +25,6 @@ class GradedGraph:
         self._up = up
         self._explicit_star = up_star
         self._reverse: dict[int, dict] = {}
-        self._lock = threading.Lock()
 
     # -- the two operators ---------------------------------------------------
 
@@ -37,17 +37,13 @@ class GradedGraph:
         cached = self._reverse.get(rank)
         if cached is not None:
             return cached
-        with self._lock:
-            cached = self._reverse.get(rank)
-            if cached is not None:
-                return cached
-            table: dict = {}
-            if rank >= 1:
-                for x in self.universe.elements_of_rank(rank - 1):
-                    for y, w in self._up(x).terms():
-                        table.setdefault(y, []).append((x, w))
-            self._reverse[rank] = table
-            return table
+        table: dict = {}
+        if rank >= 1:
+            for x in self.universe.elements_of_rank(rank - 1):
+                for y, w in self._up(x).terms():
+                    table.setdefault(y, []).append((x, w))
+        self._reverse[rank] = table
+        return table
 
     def up_adjoint(self, x) -> Combination:
         """Adjoint of up, from the reverse-edge table of the lower slice."""
@@ -88,47 +84,38 @@ class GradedGraph:
             front = nxt
         return front.get(y, 0)
 
-    def hook_slices(self, d: int) -> list[dict]:
+    def iter_hook_slices(self, d: int) -> Iterator[dict]:
         """Hook coefficients, one dict per rank 0..d.
 
         The recursion h(root) = 1, h(x) = <star(x), h> walks each rank slice
         once and only ever needs the previous slice.
         """
-        root = self.universe.root
-        slices: list[dict] = [{root: 1}]
+        prev = {self.universe.root: 1}
+        yield prev
         for rank in range(1, d + 1):
-            prev = slices[-1]
             cur: dict = {}
             for x in self.universe.elements_of_rank(rank):
                 total = 0
                 for p, w in self.star(x).terms():
                     total += w * prev.get(p, 0)
                 cur[x] = total
-            slices.append(cur)
-        return slices
+            yield cur
+            prev = cur
+
+    def hook_slices(self, d: int) -> list[dict]:
+        return list(self.iter_hook_slices(d))
 
     def hook_series_up_to(self, d: int) -> Combination:
         terms: dict = {}
-        for slice_ in self.hook_slices(d):
+        for slice_ in self.iter_hook_slices(d):
             terms.update(slice_)
         return Combination(self.universe, terms)
 
     def initial_paths_series(self, d: int) -> Series2:
         """Trace of the hook series: coefficient of t^r counts the initial
         multipaths of length r."""
-        root = self.universe.root
-        prev = {root: 1}
-        coeffs: dict[tuple[int, int], int] = {(0, 0): 1}
-        for rank in range(1, d + 1):
-            cur: dict = {}
-            for x in self.universe.elements_of_rank(rank):
-                total = 0
-                for p, w in self.star(x).terms():
-                    total += w * prev.get(p, 0)
-                cur[x] = total
-            coeffs[(0, rank)] = sum(cur.values())
-            prev = cur
-        return Series2(coeffs)
+        return Series2({(0, rank): sum(slice_.values())
+                        for rank, slice_ in enumerate(self.iter_hook_slices(d))})
 
     # -- structural checks ----------------------------------------------------------
 
@@ -150,7 +137,7 @@ class GradedGraph:
 
     def check_rooted(self, d: int):
         """Every element of rank <= d is reachable from the root."""
-        for rank, slice_ in enumerate(self.hook_slices(d)):
+        for rank, slice_ in enumerate(self.iter_hook_slices(d)):
             for x in self.universe.elements_of_rank(rank):
                 if slice_.get(x, 0) <= 0:
                     return False, x

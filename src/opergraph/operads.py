@@ -1,9 +1,12 @@
-"""Concrete graded operads and the graded graphs they induce.
+"""Graded operads and the pair of graded graphs every operad induces.
 
 Each operad packages an element codec, composition, a degree, its minimal
 generators, and explicit up/twisted maps; it doubles as the universe object
 for combinations and graded graphs over its elements.  Elements are plain
 ints (the chain) or tuples of small ints (all word operads).
+
+The graph builders at the end of this module are the only ones.  They take
+any operad, including the free one on an alphabet, ``tree.TreeUniverse``.
 """
 from __future__ import annotations
 
@@ -11,10 +14,13 @@ from functools import lru_cache
 from itertools import product
 
 from .alphabet import Alphabet, Letter
-from .free_graphs import OracleBoundError, v_free
 from .graded_graph import GradedGraph, GradedGraphPair
 from .poly import Combination
-from .tree import LEAF, SyntaxTree, enumerate_trees
+from .tree import SyntaxTree, TreeUniverse, enumerate_trees
+
+
+class OracleBoundError(ValueError):
+    """Input too large for a brute-force oracle."""
 
 
 class NotDiagonalError(ValueError):
@@ -46,6 +52,9 @@ class Operad:
     unit = None
     generators: tuple = ()
     phi_pair = "uv"
+    # closed-form star maps; None derives them from reverse-edge tables
+    up_star = None
+    v_star = None
 
     def __init__(self):
         self._degree_slices: list[list] = [[self.unit]]
@@ -117,10 +126,10 @@ class Operad:
         return self._degree_slices[d]
 
     def __eq__(self, other):
-        return isinstance(other, Operad) and self.name == other.name
+        return type(other) is type(self) and self.name == other.name
 
     def __hash__(self):
-        return hash(self.name)
+        return hash((type(self), self.name))
 
     def __repr__(self):
         return f"<operad {self.name}>"
@@ -437,11 +446,9 @@ def treelike_expressions(op: Operad, x, bound: int = 6) -> list[SyntaxTree]:
 def v_operad_oracle(op: Operad, x, bound: int = 6) -> Combination:
     """Twisted successors through treelike expressions: evaluate the free
     twisted map on every expression of x and collect the images."""
-    alphabet, _ = generator_alphabet(op)
-    seen = set()
-    for t in treelike_expressions(op, x, bound):
-        for t2, _ in v_free(t, alphabet).terms():
-            seen.add(evaluate_tree(op, t2))
+    free = TreeUniverse(generator_alphabet(op)[0])
+    seen = {evaluate_tree(op, t2)
+            for t in treelike_expressions(op, x, bound) for t2 in free.v_explicit(t)}
     return Combination.characteristic(op, seen)
 
 
@@ -508,12 +515,15 @@ def operad_poset_leq(op: Operad, x, y) -> bool:
 
 @lru_cache(maxsize=None)
 def prefix_graph(op: Operad) -> GradedGraph:
-    return GradedGraph(op, up=lambda x: up_operad(op, x), name=f"prefix({op.name})")
+    """Grafting graph of any operad (an ``Operad`` or a ``TreeUniverse``)."""
+    return GradedGraph(op, up=lambda x: up_operad(op, x), up_star=op.up_star,
+                       name=f"prefix({op.name})")
 
 
 @lru_cache(maxsize=None)
 def twisted_graph(op: Operad) -> GradedGraph:
-    return GradedGraph(op, up=lambda x: v_operad(op, x), name=f"twisted({op.name})")
+    return GradedGraph(op, up=lambda x: v_operad(op, x), up_star=op.v_star,
+                       name=f"twisted({op.name})")
 
 
 def prefix_pair(op: Operad) -> GradedGraphPair:

@@ -122,10 +122,13 @@ class Combination:
 
     def apply_linear(self, fn) -> "Combination":
         """Image under a linear map given on elements (fn(x) is a Combination)."""
-        out = Combination.zero(self.universe)
+        out: dict = {}
         for x, c in self._terms.items():
-            out = out + fn(x).scale(c)
-        return out
+            image = fn(x)
+            self._check(image)
+            for y, v in image._terms.items():
+                out[y] = out.get(y, 0) + c * v
+        return Combination(self.universe, out)
 
     def apply_diagonal(self, phi) -> "Combination":
         """Image under the diagonal map x -> phi(x) * x."""

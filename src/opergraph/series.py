@@ -134,14 +134,6 @@ class Series2:
                 out[k] = out.get(k, 0) + c1 * c2
         return Series2(out, trunc)
 
-    def __pow__(self, n: int) -> "Series2":
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        acc = Series2.one(self.t_trunc)
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
     def truncate(self, t_trunc: int) -> "Series2":
         return Series2(self.coeffs, t_trunc)
 

@@ -10,10 +10,11 @@ Node addresses are tuples of positive integers; the empty tuple is the root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .alphabet import Alphabet, Letter
+from .poly import Combination
 
 Address = tuple[int, ...]
 
@@ -244,6 +245,14 @@ def node_stats(t: SyntaxTree) -> NodeStats:
                      tuple(sorted(maximal)), tuple(sorted(quasi)), tuple(sorted(non_first)))
 
 
+@lru_cache(maxsize=None)
+def nf(t: SyntaxTree) -> int:
+    """Number of leaves whose address avoids the integer 1."""
+    if t.is_leaf:
+        return 1
+    return sum(nf(c) for c in t.children[1:])
+
+
 # -- composition ---------------------------------------------------------------
 
 def compose_index(t: SyntaxTree, i: int, s: SyntaxTree) -> SyntaxTree:
@@ -320,6 +329,57 @@ def contract_node(t: SyntaxTree, u: Address) -> SyntaxTree:
     return _replace_at(t, u, big[0] if big else LEAF)
 
 
+_DELETIONS: dict[SyntaxTree, tuple[SyntaxTree, ...]] = {}
+
+
+def _deletions(t: SyntaxTree) -> tuple[SyntaxTree, ...]:
+    """Deletions of t at each of its maximal nodes (alphabet independent)."""
+    cached = _DELETIONS.get(t)
+    if cached is not None:
+        return cached
+    if t.is_leaf:
+        out: tuple[SyntaxTree, ...] = ()
+    elif all(c.is_leaf for c in t.children):
+        out = (LEAF,)
+    else:
+        acc = []
+        kids = t.children
+        for i, child in enumerate(kids):
+            for d in _deletions(child):
+                acc.append(node(t.letter, kids[:i] + (d,) + kids[i + 1:]))
+        out = tuple(acc)
+    _DELETIONS[t] = out
+    return out
+
+
+_CONTRACTIONS: dict[SyntaxTree, tuple[SyntaxTree, ...]] = {}
+
+
+def _contractions(t: SyntaxTree) -> tuple[SyntaxTree, ...]:
+    """Contractions of t at each of its quasi-maximal nodes.
+
+    Recursively: nothing on the leaf; the root itself when every child past
+    the first is a leaf; otherwise contractions inside children 2..k.
+    """
+    cached = _CONTRACTIONS.get(t)
+    if cached is not None:
+        return cached
+    if t.is_leaf:
+        out: tuple[SyntaxTree, ...] = ()
+    else:
+        kids = t.children
+        if all(c.is_leaf for c in kids[1:]):
+            out = (kids[0],)
+        else:
+            acc = []
+            for j in range(1, len(kids)):
+                for c in _contractions(kids[j]):
+                    acc.append(node(t.letter, kids[:j] + (c,) + kids[j + 1:]))
+            out = tuple(acc)
+    _CONTRACTIONS[t] = out
+    return out
+
+
 # -- enumeration and prefix order ------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -360,30 +420,74 @@ def is_prefix(s: SyntaxTree, t: SyntaxTree) -> bool:
     return all(is_prefix(a, b) for a, b in zip(s.children, t.children))
 
 
-# -- universe for combinations / graded graphs ------------------------------------
+# -- the free operad ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TreeUniverse:
-    """Trees over one alphabet, graded by degree."""
+    """The free nonsymmetric operad on an alphabet: trees graded by degree,
+    composed by grafting onto the i-th leaf, generated by the corollas in
+    alphabet order.  It implements the protocol of ``operads.Operad``, whose
+    graph builders it uses, and adds both star maps in closed form."""
 
     alphabet: Alphabet
 
-    @property
-    def name(self) -> str:
-        return f"trees({self.alphabet.render()})"
+    unit = LEAF
+    root = LEAF
+    phi_pair = "uv"
 
     @property
-    def root(self) -> SyntaxTree:
-        return LEAF
+    def name(self) -> str:
+        return self.alphabet.render()
+
+    @cached_property
+    def generators(self) -> tuple[SyntaxTree, ...]:
+        return tuple(corolla(letter) for letter in self.alphabet)
+
+    def arity(self, t: SyntaxTree) -> int:
+        return t.arity
+
+    def degree(self, t: SyntaxTree) -> int:
+        return t.degree
+
+    rank_of = degree
+
+    def compose(self, t: SyntaxTree, i: int, s: SyntaxTree) -> SyntaxTree:
+        return compose_index(t, i, s)
+
+    def contains(self, t) -> bool:
+        return isinstance(t, SyntaxTree) and (
+            t.is_leaf or (t.letter in self.alphabet and all(map(self.contains, t.children))))
 
     def elements_of_rank(self, d: int) -> list[SyntaxTree]:
         return enumerate_trees(self.alphabet, d)
 
-    def rank_of(self, t: SyntaxTree) -> int:
-        return t.degree
-
     def render_elem(self, t: SyntaxTree) -> str:
         return t.term
 
+    def parse_elem(self, text: str) -> SyntaxTree:
+        return parse_term(text, self.alphabet)
+
     def sort_key(self, t: SyntaxTree):
         return (t.degree, t.term)
+
+    def v_explicit(self, t: SyntaxTree) -> list[SyntaxTree]:
+        """Successors in the twisted graph: a new root above t, or,
+        recursively, one inside a child past the first."""
+        out = [compose_index(g, 1, t) for g in self.generators]
+        kids = t.children
+        for j in range(1, len(kids)):
+            for inner in self.v_explicit(kids[j]):
+                out.append(node(t.letter, kids[:j] + (inner,) + kids[j + 1:]))
+        return out
+
+    def phi(self, t: SyntaxTree) -> int:
+        """Diagonal coefficient making the prefix/twisted pair dual."""
+        return len(self.alphabet) * nf(t)
+
+    def up_star(self, t: SyntaxTree) -> Combination:
+        """Adjoint of grafting: delete each maximal node."""
+        return Combination(self, {d: 1 for d in _deletions(t)})
+
+    def v_star(self, t: SyntaxTree) -> Combination:
+        """Adjoint of the twisted map: contract each quasi-maximal node."""
+        return Combination(self, {c: 1 for c in _contractions(t)})

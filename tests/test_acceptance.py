@@ -12,11 +12,11 @@ from opergraph import (LEAF, Alphabet, Combination, enumerate_trees,
                        is_prefix, parse_term)
 from opergraph import free_graphs, operads
 from opergraph.cli import verify_fixtures
-from opergraph.free_graphs import (hook_closed_form, linear_extensions, nf,
+from opergraph.free_graphs import (hook_closed_form, linear_extensions,
                                    phi_free, phi_self_singleton,
                                    theta_row_sums, twisted_hook)
 from opergraph.operads import get_operad
-from opergraph.tree import TreeUniverse
+from opergraph.tree import TreeUniverse, nf
 from opergraph.tree_poset import (interval, interval_series, join, load, meet,
                                   poset_leq, prefixes, shadow)
 

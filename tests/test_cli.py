@@ -160,6 +160,24 @@ def test_usage_errors_exit_2():
     assert err.value.code == 2
 
 
+def test_bad_alphabet_exits_2(capsys):
+    assert main(["trees", "--alphabet", "zz", "--degree", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_check_duality_empty_alphabet(capsys):
+    code, out = run(capsys, "check-duality", "--alphabet", "", "--max", "2")
+    assert code == 0
+    assert out == "ok: diagonal duality verified on 1 elements up to rank 2\n"
+
+
+def test_check_duality_alphabet_self_pair_fails(capsys):
+    code, out = run(capsys, "check-duality", "--alphabet", "a:2,b:2", "--pair", "uu",
+                    "--max", "2", "--json")
+    assert code == 1
+    assert json.loads(out)["witness"] == "a[*,*]"
+
+
 def test_verify_fixtures_filter(capsys):
     code, out = run(capsys, "verify-fixtures", "--filter", "dias-hook")
     assert code == 0

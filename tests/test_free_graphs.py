@@ -5,23 +5,25 @@ import pytest
 from opergraph import (LEAF, Alphabet, Combination, contract_node, corolla,
                        enumerate_trees, node_stats, parse_term)
 from opergraph.free_graphs import (OracleBoundError, hook_closed_form,
-                                   linear_extensions, multinomial, nf,
+                                   linear_extensions, multinomial,
                                    phi_free, phi_self_singleton, prefix_graph,
                                    prefix_pair, self_pair, theta_row_sums,
                                    theta_table, twisted_graph, twisted_hook,
-                                   up_free, up_star_free, v_free, v_star_free)
-from opergraph.tree import TreeUniverse
+                                   up_star_free, v_star_free)
+from opergraph.operads import up_operad, v_operad
+from opergraph.tree import TreeUniverse, nf
 
 
 def test_up_free_examples(a2):
-    assert up_free(LEAF, a2) == Combination.unit(TreeUniverse(a2), corolla(a2["a"]))
-    up = up_free(parse_term("a[*,*]", a2), a2)
+    assert up_operad(TreeUniverse(a2), LEAF) == \
+        Combination.unit(TreeUniverse(a2), corolla(a2["a"]))
+    up = up_operad(TreeUniverse(a2), parse_term("a[*,*]", a2))
     assert up == Combination(TreeUniverse(a2), {
         parse_term("a[a[*,*],*]", a2): 1,
         parse_term("a[*,a[*,*]]", a2): 1,
     })
     e1c3 = Alphabet.parse("e:1,c:3")
-    assert len(up_free(corolla(e1c3["c"]), e1c3)) == 6
+    assert len(up_operad(TreeUniverse(e1c3), corolla(e1c3["c"]))) == 6
 
 
 def test_up_star_free_examples(a2):
@@ -64,9 +66,9 @@ def test_v_star_equals_quasi_maximal_contractions(alphabet_text):
 
 
 def test_v_free_examples(a2, eac):
-    assert v_free(LEAF, eac) == Combination.characteristic(
+    assert v_operad(TreeUniverse(eac), LEAF) == Combination.characteristic(
         TreeUniverse(eac), [corolla(letter) for letter in eac])
-    nine = v_free(parse_term("a[*,a[*,*]]", eac), eac)
+    nine = v_operad(TreeUniverse(eac), parse_term("a[*,a[*,*]]", eac))
     assert len(nine) == 9
     assert all(c == 1 for _, c in nine.terms())
 

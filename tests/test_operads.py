@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from opergraph import LEAF, Combination, enumerate_trees, is_prefix, parse_term
+from opergraph import (LEAF, Alphabet, Combination, TreeUniverse, enumerate_trees,
+                       is_prefix, parse_term)
 from opergraph.free_graphs import OracleBoundError
 from opergraph.operads import (NotDiagonalError, compose_operad, degree_operad,
                                evaluate_tree, generator_alphabet, get_operad,
@@ -359,3 +360,21 @@ def test_as_hook_resolved_by_path_oracle():
     for n in range(1, 8):
         assert graph.path_weight_sum(1, n) == math.factorial(n - 1)
         assert hooks.coeff(n) == math.factorial(n - 1)
+
+
+def test_universe_equality_includes_the_type():
+    """fcat:1 names both a one-letter alphabet and an operad; their cached
+    graphs must not be confused."""
+    free = TreeUniverse(Alphabet.parse("fcat:1"))
+    assert free.name == FCAT1.name == "fcat:1"
+    assert free != FCAT1 and FCAT1 != free
+
+    def hooks(op):
+        graph = prefix_graph(op)
+        assert graph.universe is op
+        return {op.render_elem(x): c for s in graph.hook_slices(3) for x, c in s.items()}
+
+    chain = ["*", "fcat[*]", "fcat[fcat[*]]", "fcat[fcat[fcat[*]]]"]
+    assert hooks(free) == dict.fromkeys(chain, 1)
+    assert hooks(FCAT1) != hooks(free)
+    assert hooks(FCAT1)["0123"] == 1 and hooks(FCAT1)["0000"] == 6

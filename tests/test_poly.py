@@ -45,6 +45,20 @@ def test_universe_mismatch():
         combo({TREES[0]: 1}) + other
 
 
+def test_apply_linear_sums_scaled_images():
+    leaf, x, y = TREES[0], TREES[1], TREES[2]
+    f = combo({x: 2, y: -1})
+    assert f.apply_linear(lambda t: combo({t: 1, leaf: 3})) == combo({x: 2, y: -1, leaf: 3})
+    assert f.apply_linear(lambda t: combo({leaf: 1})) == combo({leaf: 1})
+    assert f.apply_linear(lambda t: combo({leaf: 1 if t == x else 2})) == combo({})
+
+
+def test_apply_linear_refuses_images_over_another_universe():
+    other = TreeUniverse(Alphabet.parse("b:2"))
+    with pytest.raises(UniverseMismatchError):
+        combo({TREES[1]: 1}).apply_linear(lambda t: Combination(other, {}))
+
+
 def test_hadamard_examples():
     x, y = TREES[1], TREES[2]
     f = combo({x: 1, y: 2})

@@ -5,7 +5,9 @@ import pytest
 
 from opergraph import (LEAF, Alphabet, compose_forest, corolla,
                        enumerate_trees, is_prefix, parse_term)
-from opergraph.free_graphs import up_free, up_star_free
+from opergraph.free_graphs import up_star_free
+from opergraph.operads import up_operad
+from opergraph.tree import TreeUniverse
 from opergraph.tree_poset import (NotComparableError, Shadow, difference_forest,
                                   interval, interval_count_brute,
                                   interval_isomorphic, interval_series,
@@ -29,7 +31,7 @@ def test_poset_leq_is_reachability(a2):
         frontier = {s}
         reachable = {s}
         for _ in range(4 - s.degree):
-            frontier = {y for x in frontier for y, _ in up_free(x, a2).terms()}
+            frontier = {y for x in frontier for y, _ in up_operad(TreeUniverse(a2), x).terms()}
             reachable |= frontier
         for t in trees:
             assert poset_leq(s, t) == (t in reachable)
