@@ -332,6 +332,17 @@ def cmd_verify_fixtures(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
+def _bound(text: str) -> int:
+    """A degree, rank or arity bound: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opergraph",
@@ -341,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trees", help="enumerate trees of one degree")
     p.add_argument("--alphabet", required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_bound, required=True)
     p.add_argument("--list", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_trees)
@@ -349,14 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
     for name, twisted in (("hook", False), ("twisted-hook", True)):
         p = sub.add_parser(name, help=f"{name} statistic per tree of one degree")
         p.add_argument("--alphabet", required=True)
-        p.add_argument("--degree", type=int, required=True)
+        p.add_argument("--degree", type=_bound, required=True)
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=lambda a, twisted=twisted: cmd_hook(a, twisted))
 
     p = sub.add_parser("paths-series", help="initial multipath counts by rank")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--graph", choices=("u", "v"), required=True)
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_bound, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_paths_series)
 
@@ -365,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--alphabet")
     target.add_argument("--operad")
     p.add_argument("--pair", choices=("uv", "uu"), default="uv")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_bound, required=True)
     p.add_argument("--discover-phi", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check_duality)
@@ -390,12 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--json", action="store_true")
     q = psub.add_parser("interval-series")
     q.add_argument("--alphabet", required=True)
-    q.add_argument("--max", type=int, required=True)
+    q.add_argument("--max", type=_bound, required=True)
     q.add_argument("--q", type=int, default=None)
     q.add_argument("--json", action="store_true")
     q = psub.add_parser("stringy")
     q.add_argument("--alphabet", required=True)
-    q.add_argument("--max", type=int, required=True)
+    q.add_argument("--max", type=_bound, required=True)
     q.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_poset)
 
@@ -407,10 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--element", required=True)
         q.add_argument("--json", action="store_true")
     q = osub.add_parser("hook")
-    q.add_argument("--max", type=int, required=True)
+    q.add_argument("--max", type=_bound, required=True)
     q.add_argument("--json", action="store_true")
     q = osub.add_parser("generators")
-    q.add_argument("--arity-max", type=int, required=True)
+    q.add_argument("--arity-max", type=_bound, required=True)
     q.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_operad)
 
@@ -419,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--alphabet")
     target.add_argument("--operad")
     p.add_argument("--graph", choices=("u", "v"), required=True)
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_bound, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_export_dot)
 

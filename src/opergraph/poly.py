@@ -19,12 +19,11 @@ class Combination:
     __slots__ = ("universe", "_terms")
 
     def __init__(self, universe, terms=()):
-        clean = {}
-        for x, c in dict(terms).items():
-            if c:
-                clean[x] = c
+        """``terms`` is a mapping or (element, coefficient) pairs, of which
+        the last for each element wins; zero coefficients are dropped."""
+        pairs = terms.items() if isinstance(terms, dict) else dict(terms).items()
         self.universe = universe
-        self._terms = clean
+        self._terms = {x: c for x, c in pairs if c}
 
     @classmethod
     def zero(cls, universe) -> "Combination":

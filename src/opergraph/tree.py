@@ -1,14 +1,18 @@
 """Planar rooted trees decorated by an alphabet.
 
-Trees are immutable values: the textual canonical form (``*`` for the leaf,
-``name[child,...]`` for internal nodes) is the sole equality and ordering
-witness, and structurally equal trees are interned to a single object so
-that repeated enumeration and deletion work at dictionary speed.
+Trees are immutable and hash-consed: ``node`` interns each tree by its root
+letter and its tuple of (already interned) children, so structurally equal
+trees are one object, equality and hashing are identity, and a node costs
+one tuple hash over its children.  The textual canonical form (``*`` for
+the leaf, ``name[child,...]`` for internal nodes) is the print form and the
+sole ordering witness; it is rendered on first use and cached on the node.
+Each node also caches its deletions and contractions (the two star maps).
 
 Node addresses are tuples of positive integers; the empty tuple is the root.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -32,28 +36,33 @@ class AddressError(ValueError):
 
 
 class SyntaxTree:
-    """Either the leaf or a letter with exactly ``letter.arity`` subtrees."""
+    """Either the leaf or a letter with exactly ``letter.arity`` subtrees.
 
-    __slots__ = ("letter", "children", "term", "degree", "arity", "_hash")
+    Build trees with ``node``, never with this constructor: interning is what
+    makes identity the equality.
+    """
+
+    __slots__ = ("letter", "children", "degree", "arity", "is_leaf", "_term",
+                 "_deletions", "_contractions")
 
     def __init__(self, letter: Letter | None, children: tuple["SyntaxTree", ...],
-                 term: str, degree: int, arity: int):
+                 degree: int, arity: int):
         self.letter = letter
         self.children = children
-        self.term = term
         self.degree = degree
         self.arity = arity
-        self._hash = hash(term)
+        self.is_leaf = letter is None
+        self._term = None
+        self._deletions = None
+        self._contractions = None
 
     @property
-    def is_leaf(self) -> bool:
-        return self.letter is None
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, SyntaxTree) and self.term == other.term)
+    def term(self) -> str:
+        """The canonical text: ``*``, or ``name[child,...]``."""
+        term = self._term
+        if term is None:
+            term = self._term = _render(self)
+        return term
 
     def __lt__(self, other: "SyntaxTree"):
         return self.term < other.term
@@ -65,26 +74,54 @@ class SyntaxTree:
         return f"<tree {self.term}>"
 
 
-_INTERN: dict[str, SyntaxTree] = {}
+def _render(t: SyntaxTree) -> str:
+    """The term of t, built with an explicit stack so that depth is no limit.
+    Subtrees whose term is already cached are copied, not walked."""
+    kids = t.children
+    terms = [c._term for c in kids]
+    if None not in terms:
+        return f"{t.letter.name}[{','.join(terms)}]"
+    parts = []
+    stack: list = [t]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            parts.append(item)
+        elif item._term is not None:
+            parts.append(item._term)
+        else:
+            parts.append(item.letter.name + "[")
+            stack.append("]")
+            kids = item.children
+            for i in range(len(kids) - 1, 0, -1):
+                stack.append(kids[i])
+                stack.append(",")
+            stack.append(kids[0])
+    return "".join(parts)
 
-LEAF = SyntaxTree(None, (), "*", 0, 1)
-_INTERN["*"] = LEAF
+
+# one table per letter name, keyed by the tuple of (interned) children
+_INTERN: defaultdict[str, dict[tuple[SyntaxTree, ...], SyntaxTree]] = defaultdict(dict)
+
+LEAF = SyntaxTree(None, (), 0, 1)
+LEAF._term = "*"
+LEAF._deletions = LEAF._contractions = ()
 
 
 def node(letter: Letter, children) -> SyntaxTree:
+    """The unique tree with this root letter and these children."""
     children = tuple(children)
     if len(children) != letter.arity:
         raise ValueError(
             f"letter {letter.name!r} has arity {letter.arity}, got {len(children)} children")
-    term = f"{letter.name}[{','.join(c.term for c in children)}]"
-    cached = _INTERN.get(term)
-    if cached is not None:
-        return cached
-    tree = SyntaxTree(
-        letter, children, term,
-        1 + sum(c.degree for c in children),
-        sum(c.arity for c in children))
-    _INTERN[term] = tree
+    table = _INTERN[letter.name]
+    tree = table.get(children)
+    if tree is None:
+        degree, arity = 1, 0
+        for c in children:
+            degree += c.degree
+            arity += c.arity
+        tree = table[children] = SyntaxTree(letter, children, degree, arity)
     return tree
 
 
@@ -329,54 +366,44 @@ def contract_node(t: SyntaxTree, u: Address) -> SyntaxTree:
     return _replace_at(t, u, big[0] if big else LEAF)
 
 
-_DELETIONS: dict[SyntaxTree, tuple[SyntaxTree, ...]] = {}
-
-
 def _deletions(t: SyntaxTree) -> tuple[SyntaxTree, ...]:
-    """Deletions of t at each of its maximal nodes (alphabet independent)."""
-    cached = _DELETIONS.get(t)
-    if cached is not None:
-        return cached
-    if t.is_leaf:
-        out: tuple[SyntaxTree, ...] = ()
-    elif all(c.is_leaf for c in t.children):
-        out = (LEAF,)
-    else:
-        acc = []
-        kids = t.children
-        for i, child in enumerate(kids):
-            for d in _deletions(child):
-                acc.append(node(t.letter, kids[:i] + (d,) + kids[i + 1:]))
-        out = tuple(acc)
-    _DELETIONS[t] = out
+    """Deletions of t at each of its maximal nodes (alphabet independent),
+    cached on the node.  A node is maximal exactly when its degree is 1."""
+    out = t._deletions
+    if out is None:
+        if t.degree == 1:
+            out = (LEAF,)
+        else:
+            acc = []
+            letter, kids = t.letter, t.children
+            for i, child in enumerate(kids):
+                if child.degree:
+                    for d in _deletions(child):
+                        acc.append(node(letter, kids[:i] + (d,) + kids[i + 1:]))
+            out = tuple(acc)
+        t._deletions = out
     return out
 
 
-_CONTRACTIONS: dict[SyntaxTree, tuple[SyntaxTree, ...]] = {}
-
-
 def _contractions(t: SyntaxTree) -> tuple[SyntaxTree, ...]:
-    """Contractions of t at each of its quasi-maximal nodes.
+    """Contractions of t at each of its quasi-maximal nodes, cached on the node.
 
     Recursively: nothing on the leaf; the root itself when every child past
     the first is a leaf; otherwise contractions inside children 2..k.
     """
-    cached = _CONTRACTIONS.get(t)
-    if cached is not None:
-        return cached
-    if t.is_leaf:
-        out: tuple[SyntaxTree, ...] = ()
-    else:
-        kids = t.children
-        if all(c.is_leaf for c in kids[1:]):
+    out = t._contractions
+    if out is None:
+        letter, kids = t.letter, t.children
+        if t.degree == 1 + kids[0].degree:  # children past the first are leaves
             out = (kids[0],)
         else:
             acc = []
             for j in range(1, len(kids)):
-                for c in _contractions(kids[j]):
-                    acc.append(node(t.letter, kids[:j] + (c,) + kids[j + 1:]))
+                if kids[j].degree:
+                    for c in _contractions(kids[j]):
+                        acc.append(node(letter, kids[:j] + (c,) + kids[j + 1:]))
             out = tuple(acc)
-    _CONTRACTIONS[t] = out
+        t._contractions = out
     return out
 
 
@@ -486,8 +513,8 @@ class TreeUniverse:
 
     def up_star(self, t: SyntaxTree) -> Combination:
         """Adjoint of grafting: delete each maximal node."""
-        return Combination(self, {d: 1 for d in _deletions(t)})
+        return Combination(self, dict.fromkeys(_deletions(t), 1))
 
     def v_star(self, t: SyntaxTree) -> Combination:
         """Adjoint of the twisted map: contract each quasi-maximal node."""
-        return Combination(self, {c: 1 for c in _contractions(t)})
+        return Combination(self, dict.fromkeys(_contractions(t), 1))

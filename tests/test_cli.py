@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from opergraph.cli import main, verify_fixtures
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -184,3 +190,51 @@ def test_verify_fixtures_filter(capsys):
     assert "PASS dias-hook" in out
     results = verify_fixtures("twisted-ac")
     assert len(results) == 1 and results[0][1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-duality", "--alphabet", "a:2", "--max", "-1"],
+    ["operad", "comp", "hook", "--max", "-1"],
+    ["operad", "fcat:2", "generators", "--arity-max", "-3"],
+    ["poset", "interval-series", "--alphabet", "a:2", "--max", "-1"],
+    ["poset", "stringy", "--alphabet", "a:2", "--max", "-1"],
+    ["paths-series", "--alphabet", "a:2", "--graph", "u", "--max", "-1"],
+    ["export-dot", "--alphabet", "a:2", "--graph", "v", "--max", "-2"],
+    ["trees", "--alphabet", "a:2", "--degree", "-1"],
+    ["hook", "--alphabet", "a:2", "--degree", "-1"],
+    ["twisted-hook", "--alphabet", "a:2", "--degree", "-1"],
+], ids=lambda argv: " ".join(argv))
+def test_negative_bounds_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be >= 0" in captured.err
+
+
+def test_zero_bounds_are_accepted(capsys):
+    code, out = run(capsys, "check-duality", "--alphabet", "a:2", "--max", "0")
+    assert (code, out) == (0, "ok: diagonal duality verified on 1 elements up to rank 0\n")
+    code, out = run(capsys, "operad", "comp", "hook", "--max", "0")
+    assert (code, out) == (0, "0 1\n")
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parent / "golden" / "cli_stdout.json").read_text())
+HASH_ORDER_CASES = [case for case in GOLDEN if case["argv"][:2] in (
+    ["trees", "--alphabet"], ["poset", "interval"]) or "--discover-phi" in case["argv"]]
+
+
+@pytest.mark.parametrize("case", HASH_ORDER_CASES, ids=lambda case: " ".join(case["argv"]))
+def test_stdout_does_not_depend_on_the_hash_seed(case):
+    """Trees hash by identity, so a set iterated on the way to stdout would
+    show up here as output that changes between processes."""
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                            os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "opergraph.cli", *case["argv"]],
+                              capture_output=True, text=True, env=env, check=True)
+        outputs.append(proc.stdout)
+    assert outputs == [case["stdout"]] * 2

@@ -39,6 +39,18 @@ def test_add_commutative_associative(f, g, h):
     assert (f + g) + h == f + (g + h)
 
 
+def test_constructor_drops_zeros_and_keeps_the_last_pair():
+    x, y = TREES[1], TREES[2]
+    source = {x: 0, y: 3}
+    f = combo(source)
+    assert len(f) == 1 and f.coeff(y) == 3 and x not in f
+    source[y] = 5
+    assert f.coeff(y) == 3
+    assert combo([(x, 1), (y, 2), (x, 0)]) == combo({y: 2})
+    assert combo([(x, 0), (x, 4)]) == combo({x: 4})
+    assert not combo(())
+
+
 def test_universe_mismatch():
     other = Combination(TreeUniverse(Alphabet.parse("b:2")), {})
     with pytest.raises(UniverseMismatchError):

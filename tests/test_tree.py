@@ -1,13 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from opergraph import (LEAF, Alphabet, compose_address, compose_forest,
-                       compose_index, contract_node, corolla, delete_node,
-                       enumerate_trees, is_prefix, node_stats, parse_term,
-                       render_term, subtree_at)
+from opergraph import (LEAF, Alphabet, Letter, SyntaxTree, compose_address,
+                       compose_forest, compose_index, contract_node, corolla,
+                       delete_node, enumerate_trees, is_prefix, node, node_stats,
+                       parse_term, render_term, subtree_at)
 from opergraph.series import Series2, fixed_point
-from opergraph.tree import (AddressError, ParseError, format_address,
+from opergraph.tree import (_INTERN, AddressError, ParseError, format_address,
                             leaf_index, parse_address, tree_from_json,
                             tree_to_json)
 
@@ -228,3 +229,61 @@ def test_wide_node_addresses():
     stats = node_stats(t)
     assert (12,) in stats.internal_nodes
     assert format_address(stats.leaves[-1]) == "12.12"
+
+
+# -- hash-consing --------------------------------------------------------------
+
+def _render_recursively(t: SyntaxTree) -> str:
+    """Independent rendering, from the structure alone."""
+    if t.is_leaf:
+        return "*"
+    return f"{t.letter.name}[{','.join(_render_recursively(c) for c in t.children)}]"
+
+
+def test_trees_are_interned_by_letter_and_children(a2c3):
+    assert "__eq__" not in vars(SyntaxTree) and "__hash__" not in vars(SyntaxTree)
+    t = parse_term("c[a[*,*],*,*]", a2c3)
+    assert _INTERN["c"][t.children] is t
+    assert all(type(key) is tuple and all(isinstance(c, SyntaxTree) for c in key)
+               for key in _INTERN["c"])
+    assert node(Letter("c", 3), t.children) is t
+    with pytest.raises(ValueError, match="arity"):
+        node(Letter("c", 2), t.children)
+
+
+def test_deep_trees_render_without_recursion():
+    e = Letter("e", 1)
+    t = LEAF
+    for _ in range(5000):
+        t = node(e, (t,))
+    assert t.degree == 5000
+    assert t.term == "e[" * 5000 + "*" + "]" * 5000
+
+
+# letter names that share prefixes, so that name order and term order differ
+# ("a0[" sorts before "a[")
+alphabets = st.dictionaries(
+    st.sampled_from(["a", "a0", "a_1", "b"]), st.integers(1, 3), min_size=1
+).map(lambda arities: Alphabet(Letter(name, k) for name, k in arities.items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(alphabets)
+def test_enumeration_is_term_ordered_and_terms_round_trip(alphabet):
+    for degree in range(4):
+        trees = enumerate_trees(alphabet, degree)
+        terms = [_render_recursively(t) for t in trees]
+        assert terms == sorted(terms)
+        assert [t.term for t in trees] == terms
+        for t in trees:
+            assert parse_term(t.term, alphabet) is t
+
+
+def test_every_constructor_yields_the_same_object(eac):
+    target = parse_term("a[c[e[*],*,*],a[*,*]]", eac)
+    grafted = compose_index(
+        compose_index(corolla(eac["a"]), 1, corolla(eac["c"])), 1, corolla(eac["e"]))
+    grafted = compose_index(grafted, 4, corolla(eac["a"]))
+    assert grafted is target
+    assert tree_from_json(json.loads(json.dumps(tree_to_json(target))), eac) is target
+    assert parse_term(" a[ c[e[*], *, *], a[*, *] ] ", eac) is target
