@@ -5,12 +5,13 @@ generating series tying them together.  All arithmetic is exact."""
 
 from .alphabet import Alphabet, Letter
 from .graded_graph import GradedGraph, GradedGraphPair
+from .operads import TreeUniverse
 from .poly import Combination
 from .series import Series2, fixed_point
-from .tree import (LEAF, SyntaxTree, TreeUniverse, compose_address,
-                   compose_forest, compose_index, contract_node, corolla,
-                   delete_node, enumerate_trees, is_prefix, node, node_stats,
-                   parse_term, render_term, subtree_at)
+from .tree import (LEAF, SyntaxTree, compose_address, compose_forest,
+                   compose_index, contract_node, corolla, delete_node,
+                   enumerate_trees, is_prefix, node, node_stats, parse_term,
+                   subtree_at)
 
 __version__ = "0.1.0"
 
@@ -19,5 +20,5 @@ __all__ = [
     "GradedGraph", "GradedGraphPair", "LEAF", "SyntaxTree", "TreeUniverse",
     "compose_address", "compose_forest", "compose_index", "contract_node",
     "corolla", "delete_node", "enumerate_trees", "is_prefix", "node",
-    "node_stats", "parse_term", "render_term", "subtree_at",
+    "node_stats", "parse_term", "subtree_at",
 ]

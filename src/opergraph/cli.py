@@ -14,9 +14,10 @@ from importlib import resources
 from .alphabet import Alphabet
 from .free_graphs import (hook_closed_form, phi_self_singleton, theta_row_sums,
                           twisted_hook)
-from .operads import (get_operad, minimal_generators, prefix_graph, prefix_pair,
-                      self_pair, twisted_graph, up_operad, v_operad, v_operad_oracle)
-from .tree import TreeUniverse, enumerate_trees, parse_term
+from .operads import (TreeUniverse, get_operad, minimal_generators, prefix_graph,
+                      prefix_pair, self_pair, twisted_graph, up_operad, v_operad,
+                      v_operad_oracle)
+from .tree import enumerate_trees, parse_term
 from .tree_poset import (interval, interval_series, join, load, meet, shadow,
                          stringy_count)
 

@@ -6,7 +6,7 @@ maximal node.  The twisted adjoint contracts a quasi-maximal node (an
 internal node reachable without first-child steps whose children beyond the
 first are leaves); its adjoint inserts above first children only.
 
-Trees over an alphabet are the free operad ``tree.TreeUniverse``, which
+Trees over an alphabet are the free operad ``operads.TreeUniverse``, which
 carries these four maps; the graphs come from the builders in ``operads``,
 and the alphabet-taking functions here are calls on that universe.
 """
@@ -19,9 +19,9 @@ from math import factorial
 from . import operads
 from .alphabet import Alphabet
 from .graded_graph import GradedGraph, GradedGraphPair
-from .operads import OracleBoundError
+from .operads import OracleBoundError, TreeUniverse
 from .poly import Combination
-from .tree import SyntaxTree, TreeUniverse, node_stats
+from .tree import SyntaxTree, _deletions, node_stats
 
 
 # -- the star maps ----------------------------------------------------------------
@@ -78,22 +78,13 @@ def phi_free(t: SyntaxTree, alphabet: Alphabet) -> int:
     return TreeUniverse(alphabet).phi(t)
 
 
-@lru_cache(maxsize=None)
-def _maximal_count(t: SyntaxTree) -> int:
-    if t.is_leaf:
-        return 0
-    if all(c.is_leaf for c in t.children):
-        return 1
-    return sum(_maximal_count(c) for c in t.children)
-
-
 def phi_self_singleton(t: SyntaxTree, alphabet: Alphabet) -> int:
     """Self-duality coefficient arity(t) - #maximal(t); only singleton
     alphabets admit a diagonal self-commutator."""
     if len(alphabet) != 1:
         raise ValueError(
             f"self-duality is diagonal only for singleton alphabets, got {alphabet.render()}")
-    return t.arity - _maximal_count(t)
+    return t.arity - len(_deletions(t))  # one deletion per maximal node
 
 
 # -- brute-force oracle -----------------------------------------------------------

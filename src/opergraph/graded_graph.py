@@ -1,7 +1,7 @@
 """Graded graphs: rank-indexed universes with an "up" operator.
 
-A graph is specified by its universe (rank slices, root) and a linear map
-``up`` sending each element to a combination supported one rank higher.
+A graph is specified by its universe (an operad: rank slices, unit) and a
+linear map ``up`` sending each element to a combination one rank higher.
 Adjoints, path counting, hook series and the duality commutators are all
 derived here; concrete graphs plug in their universe and up map (and an
 explicit adjoint when a fast direct description exists).  The prefix and
@@ -21,7 +21,7 @@ class GradedGraph:
     def __init__(self, universe, up: Callable, *, up_star: Callable | None = None,
                  name: str = ""):
         self.universe = universe
-        self.name = name or getattr(universe, "name", "graph")
+        self.name = name or universe.name
         self._up = up
         self._explicit_star = up_star
         self._reverse: dict[int, dict] = {}
@@ -47,7 +47,7 @@ class GradedGraph:
 
     def up_adjoint(self, x) -> Combination:
         """Adjoint of up, from the reverse-edge table of the lower slice."""
-        rank = self.universe.rank_of(x)
+        rank = self.universe.degree(x)
         if rank == 0:
             return Combination.zero(self.universe)
         table = self._reverse_edges(rank)
@@ -72,7 +72,7 @@ class GradedGraph:
     def path_weight_sum(self, x, y) -> int:
         """Sum over paths from x to y of the product of edge weights
         (the multipath count for natural graphs); 1 when x = y."""
-        rx, ry = self.universe.rank_of(x), self.universe.rank_of(y)
+        rx, ry = self.universe.degree(x), self.universe.degree(y)
         if rx > ry:
             return 0
         front = {x: 1}
@@ -87,10 +87,10 @@ class GradedGraph:
     def iter_hook_slices(self, d: int) -> Iterator[dict]:
         """Hook coefficients, one dict per rank 0..d.
 
-        The recursion h(root) = 1, h(x) = <star(x), h> walks each rank slice
+        The recursion h(unit) = 1, h(x) = <star(x), h> walks each rank slice
         once and only ever needs the previous slice.
         """
-        prev = {self.universe.root: 1}
+        prev = {self.universe.unit: 1}
         yield prev
         for rank in range(1, d + 1):
             cur: dict = {}
@@ -123,7 +123,7 @@ class GradedGraph:
         for rank in range(d + 1):
             for x in self.universe.elements_of_rank(rank):
                 for y, _ in self._up(x).terms():
-                    if self.universe.rank_of(y) != rank + 1:
+                    if self.universe.degree(y) != rank + 1:
                         return False, (x, y)
         return True, None
 
@@ -136,7 +136,7 @@ class GradedGraph:
         return True, None
 
     def check_rooted(self, d: int):
-        """Every element of rank <= d is reachable from the root."""
+        """Every element of rank <= d is reachable from the unit."""
         for rank, slice_ in enumerate(self.iter_hook_slices(d)):
             for x in self.universe.elements_of_rank(rank):
                 if slice_.get(x, 0) <= 0:
@@ -214,7 +214,7 @@ class IteratedIdentityReport:
 
 
 class GradedGraphPair:
-    """Two graded graphs over one universe, sharing the root."""
+    """Two graded graphs over one universe, sharing the unit."""
 
     def __init__(self, u: GradedGraph, v: GradedGraph):
         if u.universe != v.universe:

@@ -3,20 +3,22 @@
 Each operad packages an element codec, composition, a degree, its minimal
 generators, and explicit up/twisted maps; it doubles as the universe object
 for combinations and graded graphs over its elements.  Elements are plain
-ints (the chain) or tuples of small ints (all word operads).
+ints (the chain), tuples of small ints (all word operads) or syntax trees
+(the free operad on an alphabet, ``TreeUniverse``).
 
 The graph builders at the end of this module are the only ones.  They take
-any operad, including the free one on an alphabet, ``tree.TreeUniverse``.
+any operad, the free ones included.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .alphabet import Alphabet, Letter
 from .graded_graph import GradedGraph, GradedGraphPair
 from .poly import Combination
-from .tree import SyntaxTree, TreeUniverse, enumerate_trees
+from .tree import (LEAF, SyntaxTree, _contractions, _deletions, compose_index, corolla,
+                   enumerate_trees, nf, node, parse_term)
 
 
 class OracleBoundError(ValueError):
@@ -97,20 +99,10 @@ class Operad:
 
     # -- universe protocol ------------------------------------------------------
 
-    @property
-    def root(self):
-        return self.unit
-
-    def rank_of(self, x) -> int:
-        return self.degree(x)
-
     def sort_key(self, x):
         return (self.degree(x), self.render_elem(x))
 
     def elements_of_rank(self, d: int) -> list:
-        return self.elements_of_degree(d)
-
-    def elements_of_degree(self, d: int) -> list:
         """Degree slice, generated by composing generators onto the slice
         below (complete because every element is built from generators)."""
         if d < 0:
@@ -352,6 +344,71 @@ class FCatOperad(Operad):
         return self.m + 1
 
 
+class TreeUniverse(Operad):
+    """The free nonsymmetric operad on an alphabet: trees graded by degree,
+    composed by grafting onto the i-th leaf, generated by the corollas in
+    alphabet order.  Its slices come from ``tree.enumerate_trees`` (so the
+    base slice cache is never built), and it adds both star maps in closed
+    form."""
+
+    unit = LEAF
+
+    def __init__(self, alphabet: Alphabet):
+        self.alphabet = alphabet
+
+    @cached_property
+    def name(self) -> str:
+        return self.alphabet.render()
+
+    @cached_property
+    def generators(self) -> tuple[SyntaxTree, ...]:
+        return tuple(corolla(letter) for letter in self.alphabet)
+
+    def arity(self, t: SyntaxTree) -> int:
+        return t.arity
+
+    def degree(self, t: SyntaxTree) -> int:
+        return t.degree
+
+    def compose(self, t: SyntaxTree, i: int, s: SyntaxTree) -> SyntaxTree:
+        return compose_index(t, i, s)
+
+    def contains(self, t) -> bool:
+        return isinstance(t, SyntaxTree) and (
+            t.is_leaf or (t.letter in self.alphabet and all(map(self.contains, t.children))))
+
+    def elements_of_rank(self, d: int) -> list[SyntaxTree]:
+        return enumerate_trees(self.alphabet, d)
+
+    def render_elem(self, t: SyntaxTree) -> str:
+        return t.term
+
+    def parse_elem(self, text: str) -> SyntaxTree:
+        return parse_term(text, self.alphabet)
+
+    def v_explicit(self, t: SyntaxTree) -> list[SyntaxTree]:
+        """Successors in the twisted graph: a new root above t, or,
+        recursively, one inside a child past the first."""
+        out = [compose_index(g, 1, t) for g in self.generators]
+        kids = t.children
+        for j in range(1, len(kids)):
+            for inner in self.v_explicit(kids[j]):
+                out.append(node(t.letter, kids[:j] + (inner,) + kids[j + 1:]))
+        return out
+
+    def phi(self, t: SyntaxTree) -> int:
+        """Diagonal coefficient making the prefix/twisted pair dual."""
+        return len(self.alphabet) * nf(t)
+
+    def up_star(self, t: SyntaxTree) -> Combination:
+        """Adjoint of grafting: delete each maximal node."""
+        return Combination(self, dict.fromkeys(_deletions(t), 1))
+
+    def v_star(self, t: SyntaxTree) -> Combination:
+        """Adjoint of the twisted map: contract each quasi-maximal node."""
+        return Combination(self, dict.fromkeys(_contractions(t), 1))
+
+
 @lru_cache(maxsize=None)
 def get_operad(selector: str) -> Operad:
     """Selector strings: as | dias | comp | motz | fcat:<m>."""
@@ -515,7 +572,7 @@ def operad_poset_leq(op: Operad, x, y) -> bool:
 
 @lru_cache(maxsize=None)
 def prefix_graph(op: Operad) -> GradedGraph:
-    """Grafting graph of any operad (an ``Operad`` or a ``TreeUniverse``)."""
+    """Grafting graph of any operad, the free ones (``TreeUniverse``) included."""
     return GradedGraph(op, up=lambda x: up_operad(op, x), up_star=op.up_star,
                        name=f"prefix({op.name})")
 

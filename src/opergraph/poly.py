@@ -1,8 +1,8 @@
 """Exact formal linear combinations over a graded universe of elements.
 
-A universe is any object exposing ``render_elem``, ``rank_of`` and
-``sort_key`` (plus ``root``/``elements_of_rank`` when used as graph vertex
-set); combinations over different universes refuse to mix.
+A universe is any ``Operad``: combinations use its ``render_elem``,
+``degree`` and ``sort_key``, graded graphs its ``unit`` and
+``elements_of_rank``.  Combinations over different universes refuse to mix.
 """
 from __future__ import annotations
 
@@ -107,13 +107,13 @@ class Combination:
         small, big = (self, other) if len(self) <= len(other) else (other, self)
         return sum(c * big._terms[x] for x, c in small._terms.items() if x in big._terms)
 
-    def trace(self, rank=None) -> Series2:
+    def trace(self) -> Series2:
         """Generating polynomial: the coefficient of t^d sums the
-        coefficients of the rank-d elements."""
-        rank = rank or self.universe.rank_of
+        coefficients of the degree-d elements."""
+        degree = self.universe.degree
         coeffs: dict[tuple[int, int], int] = {}
         for x, c in self._terms.items():
-            key = (0, rank(x))
+            key = (0, degree(x))
             coeffs[key] = coeffs.get(key, 0) + c
         return Series2(coeffs)
 

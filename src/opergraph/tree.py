@@ -7,6 +7,7 @@ one tuple hash over its children.  The textual canonical form (``*`` for
 the leaf, ``name[child,...]`` for internal nodes) is the print form and the
 sole ordering witness; it is rendered on first use and cached on the node.
 Each node also caches its deletions and contractions (the two star maps).
+The free operad these trees form is ``operads.TreeUniverse``.
 
 Node addresses are tuples of positive integers; the empty tuple is the root.
 """
@@ -14,11 +15,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 
 from .alphabet import Alphabet, Letter
-from .poly import Combination
 
 Address = tuple[int, ...]
 
@@ -130,10 +130,6 @@ def corolla(letter: Letter) -> SyntaxTree:
 
 
 # -- text codec --------------------------------------------------------------
-
-def render_term(t: SyntaxTree) -> str:
-    return t.term
-
 
 def parse_term(text: str, alphabet: Alphabet) -> SyntaxTree:
     pos = 0
@@ -410,15 +406,9 @@ def _contractions(t: SyntaxTree) -> tuple[SyntaxTree, ...]:
 # -- enumeration and prefix order ------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _degree_slice(alphabet: Alphabet, degree: int) -> tuple[SyntaxTree, ...]:
-    if degree == 0:
-        return (LEAF,)
-    out = []
-    for letter in alphabet:
-        for split in _compositions(degree - 1, letter.arity):
-            for kids in product(*[_degree_slice(alphabet, d) for d in split]):
-                out.append(node(letter, kids))
-    return tuple(sorted(out, key=lambda t: t.term))
+def _degree_slices(alphabet: Alphabet) -> list[tuple[SyntaxTree, ...]]:
+    """The degree slices of the alphabet built so far, from degree 0 up."""
+    return [(LEAF,)]
 
 
 @lru_cache(maxsize=None)
@@ -432,10 +422,19 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
 
 def enumerate_trees(alphabet: Alphabet, degree: int) -> list[SyntaxTree]:
     """All trees over the alphabet with the given number of internal nodes,
-    in canonical (term-lexicographic) order."""
+    in canonical (term-lexicographic) order.  Missing slices are filled
+    bottom-up, so a deep slice costs no recursion."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    return list(_degree_slice(alphabet, degree))
+    slices = _degree_slices(alphabet)
+    while len(slices) <= degree:
+        below = len(slices) - 1
+        out = [node(letter, kids)
+               for letter in alphabet
+               for split in _compositions(below, letter.arity)
+               for kids in product(*[slices[d] for d in split])]
+        slices.append(tuple(sorted(out, key=lambda t: t.term)))
+    return list(slices[degree])
 
 
 def is_prefix(s: SyntaxTree, t: SyntaxTree) -> bool:
@@ -445,76 +444,3 @@ def is_prefix(s: SyntaxTree, t: SyntaxTree) -> bool:
     if t.is_leaf or s.letter != t.letter:
         return False
     return all(is_prefix(a, b) for a, b in zip(s.children, t.children))
-
-
-# -- the free operad ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TreeUniverse:
-    """The free nonsymmetric operad on an alphabet: trees graded by degree,
-    composed by grafting onto the i-th leaf, generated by the corollas in
-    alphabet order.  It implements the protocol of ``operads.Operad``, whose
-    graph builders it uses, and adds both star maps in closed form."""
-
-    alphabet: Alphabet
-
-    unit = LEAF
-    root = LEAF
-    phi_pair = "uv"
-
-    @property
-    def name(self) -> str:
-        return self.alphabet.render()
-
-    @cached_property
-    def generators(self) -> tuple[SyntaxTree, ...]:
-        return tuple(corolla(letter) for letter in self.alphabet)
-
-    def arity(self, t: SyntaxTree) -> int:
-        return t.arity
-
-    def degree(self, t: SyntaxTree) -> int:
-        return t.degree
-
-    rank_of = degree
-
-    def compose(self, t: SyntaxTree, i: int, s: SyntaxTree) -> SyntaxTree:
-        return compose_index(t, i, s)
-
-    def contains(self, t) -> bool:
-        return isinstance(t, SyntaxTree) and (
-            t.is_leaf or (t.letter in self.alphabet and all(map(self.contains, t.children))))
-
-    def elements_of_rank(self, d: int) -> list[SyntaxTree]:
-        return enumerate_trees(self.alphabet, d)
-
-    def render_elem(self, t: SyntaxTree) -> str:
-        return t.term
-
-    def parse_elem(self, text: str) -> SyntaxTree:
-        return parse_term(text, self.alphabet)
-
-    def sort_key(self, t: SyntaxTree):
-        return (t.degree, t.term)
-
-    def v_explicit(self, t: SyntaxTree) -> list[SyntaxTree]:
-        """Successors in the twisted graph: a new root above t, or,
-        recursively, one inside a child past the first."""
-        out = [compose_index(g, 1, t) for g in self.generators]
-        kids = t.children
-        for j in range(1, len(kids)):
-            for inner in self.v_explicit(kids[j]):
-                out.append(node(t.letter, kids[:j] + (inner,) + kids[j + 1:]))
-        return out
-
-    def phi(self, t: SyntaxTree) -> int:
-        """Diagonal coefficient making the prefix/twisted pair dual."""
-        return len(self.alphabet) * nf(t)
-
-    def up_star(self, t: SyntaxTree) -> Combination:
-        """Adjoint of grafting: delete each maximal node."""
-        return Combination(self, dict.fromkeys(_deletions(t), 1))
-
-    def v_star(self, t: SyntaxTree) -> Combination:
-        """Adjoint of the twisted map: contract each quasi-maximal node."""
-        return Combination(self, dict.fromkeys(_contractions(t), 1))

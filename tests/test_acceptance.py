@@ -15,8 +15,8 @@ from opergraph.cli import verify_fixtures
 from opergraph.free_graphs import (hook_closed_form, linear_extensions,
                                    phi_free, phi_self_singleton,
                                    theta_row_sums, twisted_hook)
-from opergraph.operads import get_operad
-from opergraph.tree import TreeUniverse, nf
+from opergraph.operads import TreeUniverse, get_operad
+from opergraph.tree import nf
 from opergraph.tree_poset import (interval, interval_series, join, load, meet,
                                   poset_leq, prefixes, shadow)
 
@@ -237,7 +237,7 @@ def test_criterion_12_twisted_oracle_and_homogeneity():
             for t in enumerate_trees(alphabet, d):
                 assert op.degree(evaluate_tree(op, t)) == d
         for d in range(4):
-            for x in op.elements_of_degree(d):
+            for x in op.elements_of_rank(d):
                 assert treelike_expressions(op, x)
                 assert v_operad_oracle(op, x).support() == v_operad(op, x).support()
     _report(12, "treelike oracle matches the explicit twisted maps", started)

@@ -220,6 +220,13 @@ def test_zero_bounds_are_accepted(capsys):
     assert (code, out) == (0, "0 1\n")
 
 
+def test_deep_degree_slice_does_not_recurse(capsys):
+    """Slices are filled bottom-up, so a unary chain far deeper than the
+    recursion limit is enumerated."""
+    code, out = run(capsys, "trees", "--alphabet", "e:1", "--degree", "3000")
+    assert (code, out) == (0, "1\n")
+
+
 GOLDEN = json.loads((Path(__file__).resolve().parent / "golden" / "cli_stdout.json").read_text())
 HASH_ORDER_CASES = [case for case in GOLDEN if case["argv"][:2] in (
     ["trees", "--alphabet"], ["poset", "interval"]) or "--discover-phi" in case["argv"]]

@@ -10,8 +10,8 @@ from opergraph.free_graphs import (OracleBoundError, hook_closed_form,
                                    prefix_pair, self_pair, theta_row_sums,
                                    theta_table, twisted_graph, twisted_hook,
                                    up_star_free, v_star_free)
-from opergraph.operads import up_operad, v_operad
-from opergraph.tree import TreeUniverse, nf
+from opergraph.operads import TreeUniverse, up_operad, v_operad
+from opergraph.tree import nf
 
 
 def test_up_free_examples(a2):

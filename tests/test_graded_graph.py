@@ -146,7 +146,7 @@ def test_check_iterated_identity(a2):
 
     comp = get_operad("comp")
     comp_pair = operads.prefix_pair(comp)
-    elements = [x for d in range(3) for x in comp.elements_of_degree(d)]
+    elements = [x for d in range(3) for x in comp.elements_of_rank(d)]
     report = comp_pair.check_iterated_identity(lambda x: 2, 3, elements)
     assert report.ok and report.checked == len(elements)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import is_dataclass
 from itertools import product
 
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from opergraph import (LEAF, Alphabet, Combination, TreeUniverse, enumerate_trees,
                        is_prefix, parse_term)
 from opergraph.free_graphs import OracleBoundError
-from opergraph.operads import (NotDiagonalError, compose_operad, degree_operad,
-                               evaluate_tree, generator_alphabet, get_operad,
-                               minimal_generators, operad_poset_leq,
+from opergraph.operads import (NotDiagonalError, Operad, compose_operad,
+                               degree_operad, evaluate_tree, generator_alphabet,
+                               get_operad, minimal_generators, operad_poset_leq,
                                prefix_graph, prefix_pair, self_pair,
                                treelike_expressions, twisted_graph, up_operad,
                                v_operad, v_operad_oracle)
@@ -22,7 +23,7 @@ FCAT2 = get_operad("fcat:2")
 
 
 def elements_up_to(op, d):
-    return [x for k in range(d + 1) for x in op.elements_of_degree(k)]
+    return [x for k in range(d + 1) for x in op.elements_of_rank(k)]
 
 
 def test_selectors_and_codec():
@@ -99,18 +100,18 @@ def test_degree_examples():
 
 
 def test_elements_of_degree_and_arity():
-    assert AS.elements_of_degree(3) == [4]
-    assert DIAS.elements_of_degree(2) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
-    assert len(COMP.elements_of_degree(5)) == 32
+    assert AS.elements_of_rank(3) == [4]
+    assert DIAS.elements_of_rank(2) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    assert len(COMP.elements_of_rank(5)) == 32
     # path counts by arity are the classic unit-step path numbers
     assert [len(MOTZ.elements_of_arity(n)) for n in range(1, 7)] == [1, 1, 2, 4, 9, 21]
     # for word operads graded by length the two enumerations agree
-    assert COMP.elements_of_degree(3) == COMP.elements_of_arity(4)
-    assert sorted(DIAS.elements_of_degree(3)) == DIAS.elements_of_arity(4)
+    assert COMP.elements_of_rank(3) == COMP.elements_of_arity(4)
+    assert sorted(DIAS.elements_of_rank(3)) == DIAS.elements_of_arity(4)
     # the by-degree slices carry the degree they claim
     for op in (MOTZ, FCAT1):
         for d in range(4):
-            for x in op.elements_of_degree(d):
+            for x in op.elements_of_rank(d):
                 assert op.degree(x) == d and op.contains(x)
 
 
@@ -157,7 +158,7 @@ def test_comp_prefix_graph_matches_known_covers():
     graph = prefix_graph(COMP)
     edges = {}
     for d in range(3):
-        for x in COMP.elements_of_degree(d):
+        for x in COMP.elements_of_rank(d):
             for y, w in graph.up(x).items():
                 edges[(COMP.render_elem(x), COMP.render_elem(y))] = w
     expected = {
@@ -250,7 +251,7 @@ def test_homogeneity_certified(op):
             assert op.degree(x) == d
     # generation: every element of small degree has a nonempty fiber
     for d in range(4):
-        for x in op.elements_of_degree(d):
+        for x in op.elements_of_rank(d):
             assert treelike_expressions(op, x)
 
 
@@ -378,3 +379,16 @@ def test_universe_equality_includes_the_type():
     assert hooks(free) == dict.fromkeys(chain, 1)
     assert hooks(FCAT1) != hooks(free)
     assert hooks(FCAT1)["0123"] == 1 and hooks(FCAT1)["0000"] == 6
+
+
+def test_trees_are_an_operad_with_one_name_per_concept():
+    a2 = Alphabet.parse("a:2")
+    free = TreeUniverse(a2)
+    assert isinstance(free, Operad) and not is_dataclass(free)
+    for op in [get_operad(s) for s in ("as", "dias", "comp", "motz", "fcat:0", "fcat:3")] + [free]:
+        for alias in ("root", "rank_of", "elements_of_degree"):
+            assert not hasattr(op, alias), (op, alias)
+    same = TreeUniverse(Alphabet.parse("a:2"))
+    assert same is not free and same == free and hash(same) == hash(free)
+    assert free != TreeUniverse(Alphabet.parse("a:2,b:2"))
+    assert TreeUniverse(Alphabet.parse("fcat:1")) != get_operad("fcat:1")

@@ -134,7 +134,7 @@ def test_returning_hooks_on_the_chain_by_path_pairs():
         if rank == 0:
             return 1 if target == op.unit else 0
         total = 0
-        for below in op.elements_of_degree(rank - 1):
+        for below in op.elements_of_rank(rank - 1):
             weight = graph.up(below).coeff(target)
             if weight:
                 total += weight * count_paths(graph, below, rank - 1)

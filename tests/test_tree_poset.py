@@ -6,8 +6,7 @@ import pytest
 from opergraph import (LEAF, Alphabet, compose_forest, corolla,
                        enumerate_trees, is_prefix, parse_term)
 from opergraph.free_graphs import up_star_free
-from opergraph.operads import up_operad
-from opergraph.tree import TreeUniverse
+from opergraph.operads import TreeUniverse, up_operad
 from opergraph.tree_poset import (NotComparableError, Shadow, difference_forest,
                                   interval, interval_count_brute,
                                   interval_isomorphic, interval_series,
