@@ -12,7 +12,6 @@ and the alphabet-taking functions here are calls on that universe.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -21,7 +20,7 @@ from .alphabet import Alphabet
 from .graded_graph import GradedGraph, GradedGraphPair
 from .operads import OracleBoundError, TreeUniverse
 from .poly import Combination
-from .tree import SyntaxTree, _deletions, node_stats
+from .tree import LEAF, SyntaxTree, _deletions, node_stats
 
 
 # -- the star maps ----------------------------------------------------------------
@@ -45,32 +44,43 @@ def multinomial(parts) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _subtree_degree_product(t: SyntaxTree) -> int:
-    if t.is_leaf:
-        return 1
-    out = t.degree
-    for c in t.children:
-        out *= _subtree_degree_product(c)
-    return out
+def _fold(t: SyntaxTree, factor, memo: dict) -> int:
+    """The product of factor(sub) over the internal nodes sub of t.  Subtrees
+    are folded children first with an explicit stack, so that depth is no
+    limit, and memo keeps each subtree's product across calls."""
+    stack = [t]
+    while stack:
+        sub = stack[-1]
+        if sub in memo:
+            stack.pop()
+            continue
+        pending = [c for c in sub.children if c not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        out = factor(sub)
+        for c in sub.children:
+            out *= memo[c]
+        memo[sub] = out
+    return memo[t]
+
+
+_DEGREE_PRODUCTS: dict = {LEAF: 1}
+_TWISTED_HOOKS: dict = {LEAF: 1}
 
 
 def hook_closed_form(t: SyntaxTree) -> int:
     """deg(t)! divided by the product of the degrees of all internal-node
     subtrees; counts the linear extensions of the ancestor order of t."""
-    return factorial(t.degree) // _subtree_degree_product(t)
+    return factorial(t.degree) // _fold(t, lambda sub: sub.degree, _DEGREE_PRODUCTS)
 
 
-@lru_cache(maxsize=None)
 def twisted_hook(t: SyntaxTree) -> int:
     """Linear extensions of the twisted ancestor order: the shuffle factor
     skips the first child."""
-    if t.is_leaf:
-        return 1
-    out = multinomial(c.degree for c in t.children[1:])
-    for c in t.children:
-        out *= twisted_hook(c)
-    return out
+    return _fold(t, lambda sub: multinomial(c.degree for c in sub.children[1:]),
+                 _TWISTED_HOOKS)
 
 
 def phi_free(t: SyntaxTree, alphabet: Alphabet) -> int:

@@ -4,9 +4,11 @@ A graph is specified by its universe (an operad: rank slices, unit) and a
 linear map ``up`` sending each element to a combination one rank higher.
 Adjoints, path counting, hook series and the duality commutators are all
 derived here; concrete graphs plug in their universe and up map (and an
-explicit adjoint when a fast direct description exists).  The prefix and
-twisted graphs of every operad, trees included, are built by the builders
-in ``operads``.
+explicit adjoint when a fast direct description exists).  The diagonal
+duality check runs one rank slice at a time over plain dicts, with
+``GradedGraphPair.duality_commutator`` as its independent oracle.  The
+prefix and twisted graphs of every operad, trees included, are built by the
+builders in ``operads``.
 """
 from __future__ import annotations
 
@@ -52,6 +54,16 @@ class GradedGraph:
             return Combination.zero(self.universe)
         table = self._reverse_edges(rank)
         return Combination(self.universe, dict(table.get(x, ())))
+
+    def _star_rows(self, rank: int) -> Callable:
+        """x -> the (element, weight) pairs of star(x), for the elements x of
+        one rank: a lookup fetched once for the whole slice, building no
+        combination when the reverse-edge table serves it."""
+        if self._explicit_star is not None:
+            star = self._explicit_star
+            return lambda x: star(x).terms()
+        table = self._reverse_edges(rank)
+        return lambda x: table.get(x, ())
 
     def star(self, x) -> Combination:
         """The adjoint, through the explicit description when one is known."""
@@ -241,25 +253,51 @@ class GradedGraphPair:
         With ``phi=None`` runs in discovery mode: solves for the diagonal
         coefficient at each element, stopping at the first element whose
         commutator is not a multiple of the element itself.
+
+        The check runs one rank slice at a time.  For x of rank r it sums
+        V*U(x) - UV*(x) into one plain dict, from the U row of x, the star
+        lookups of ranks r and r+1 and the U rows of rank r-1, each computed
+        once (the rows of rank r-1 are dropped when rank r is done); a
+        ``Combination`` is built only for a failure.  ``duality_commutator``
+        is its independent oracle.
         """
         mode = "check" if phi is not None else "discover"
         table: dict | None = None if phi is not None else {}
+        up = self.u.up
         checked = 0
+        below: dict = {}  # the U rows of rank r-1, by element
+        star_here = self.v._star_rows(0)
         for rank in range(d + 1):
+            star_above = self.v._star_rows(rank + 1)
+            rows: dict = {}
             for x in self.universe.elements_of_rank(rank):
-                commutator = self.duality_commutator(x)
+                row = up(x).terms()
+                if rank < d:  # the rows of the top rank would never be read
+                    rows[x] = row
+                acc: dict = {}
+                for y, w in row:
+                    for z, c in star_above(y):
+                        acc[z] = acc.get(z, 0) + w * c
+                for p, w in star_here(x):
+                    for z, c in below[p]:
+                        acc[z] = acc.get(z, 0) - w * c
                 checked += 1
-                if phi is not None:
-                    expected = Combination.unit(self.universe, x, phi(x))
-                    if commutator != expected:
-                        return DualityReport(False, mode, d, checked,
-                                             [DualityFailure(x, commutator, expected)])
-                else:
-                    extra = commutator.support() - {x}
-                    if extra:
-                        return DualityReport(False, mode, d, checked,
-                                             [DualityFailure(x, commutator)], table)
-                    table[x] = commutator.coeff(x)
+                coeff = acc.pop(x, 0)
+                diagonal = not any(acc.values())
+                if phi is None:
+                    if not diagonal:
+                        acc[x] = coeff
+                        return DualityReport(False, mode, d, checked, [DualityFailure(
+                            x, Combination(self.universe, acc))], table)
+                    table[x] = coeff
+                    continue
+                expected = phi(x)
+                if not diagonal or coeff != expected:
+                    acc[x] = coeff
+                    return DualityReport(False, mode, d, checked, [DualityFailure(
+                        x, Combination(self.universe, acc),
+                        Combination.unit(self.universe, x, expected))])
+            below, star_here = rows, star_above
         return DualityReport(True, mode, d, checked, [], table)
 
     def check_iterated_identity(self, phi: Callable, n: int,

@@ -293,16 +293,19 @@ def compose_index(t: SyntaxTree, i: int, s: SyntaxTree) -> SyntaxTree:
     in lexicographic address order)."""
     if not 1 <= i <= t.arity:
         raise IndexError(f"leaf index {i} out of range 1..{t.arity} for {t.term}")
-    if t.is_leaf:
-        return s
-    remaining = i
-    kids = t.children
-    for pos, child in enumerate(kids):
-        if remaining <= child.arity:
-            return node(t.letter,
-                        kids[:pos] + (compose_index(child, remaining, s),) + kids[pos + 1:])
-        remaining -= child.arity
-    raise AssertionError("unreachable: leaf count bookkeeping broke")
+    # walk down to the leaf, recording (parent, position), then rebuild upward
+    spine = []
+    while not t.is_leaf:
+        for pos, child in enumerate(t.children):
+            if i <= child.arity:
+                break
+            i -= child.arity
+        spine.append((t, pos))
+        t = child
+    for parent, pos in reversed(spine):
+        kids = parent.children
+        s = node(parent.letter, kids[:pos] + (s,) + kids[pos + 1:])
+    return s
 
 
 def leaf_index(t: SyntaxTree, u: Address) -> int:

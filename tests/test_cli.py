@@ -245,3 +245,19 @@ def test_stdout_does_not_depend_on_the_hash_seed(case):
                               capture_output=True, text=True, env=env, check=True)
         outputs.append(proc.stdout)
     assert outputs == [case["stdout"]] * 2
+
+
+def test_deep_duality_check_does_not_recurse(capsys):
+    """Grafting walks down to the leaf and rebuilds upward without recursion,
+    so the unary chain checks far past the recursion limit."""
+    code, out = run(capsys, "check-duality", "--alphabet", "e:1", "--max", "1500")
+    assert (code, out) == (0, "ok: diagonal duality verified on 1501 elements "
+                              "up to rank 1500\n")
+
+
+@pytest.mark.parametrize("command", ["hook", "twisted-hook"])
+def test_deep_hooks_do_not_recurse(capsys, command):
+    """Both hook formulas fold the subtrees bottom-up with an explicit stack."""
+    code, out = run(capsys, command, "--alphabet", "e:1", "--degree", "1500")
+    assert code == 0
+    assert out == "e[" * 1500 + "*" + "]" * 1500 + " 1\n"

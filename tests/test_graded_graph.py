@@ -1,7 +1,7 @@
 import pytest
 
-from opergraph import LEAF, Combination, corolla, enumerate_trees, parse_term
-from opergraph.free_graphs import (phi_free, prefix_graph, prefix_pair,
+from opergraph import LEAF, Alphabet, Combination, corolla, enumerate_trees, parse_term
+from opergraph.free_graphs import (phi_free, prefix_graph, prefix_pair, self_pair,
                                    twisted_graph)
 from opergraph import operads
 from opergraph.operads import get_operad
@@ -128,13 +128,102 @@ def test_check_phi_diagonal_dias_self_dual():
 
 def test_check_phi_diagonal_dias_uv_fails():
     dias = get_operad("dias")
-    report = operads.prefix_pair(dias).check_phi_diagonal(None, 3)
+    pair = operads.prefix_pair(dias)
+    report = pair.check_phi_diagonal(None, 3)
     assert not report.ok
     witness = report.witness()
     assert witness.element == (1, 0)
     assert witness.commutator == Combination(dias, {(1, 0): 3, (0, 1): 2})
+    assert witness.render(dias) == "commutator at 10 is 2*01 + 3*10"
     # discovery collected the diagonal part seen before the failure
     assert report.table[(0,)] == 2
+    assert summary(report) == reference_report(pair, None, 3)
+
+
+# -- the slice-at-a-time check against its oracle, duality_commutator --------------
+
+def reference_report(pair, phi, d):
+    """(ok, checked, failure, table) built element by element from
+    duality_commutator; failure is (element, commutator, expected)."""
+    table = None if phi is not None else {}
+    checked = 0
+    for rank in range(d + 1):
+        for x in pair.universe.elements_of_rank(rank):
+            commutator = pair.duality_commutator(x)
+            checked += 1
+            if phi is not None:
+                expected = Combination.unit(pair.universe, x, phi(x))
+                if commutator != expected:
+                    return False, checked, (x, commutator, expected), table
+            elif commutator.support() - {x}:
+                return False, checked, (x, commutator, None), table
+            else:
+                table[x] = commutator.coeff(x)
+    return True, checked, None, table
+
+
+def summary(report):
+    failure = report.witness()
+    if failure is not None:
+        failure = (failure.element, failure.commutator, failure.expected)
+    return report.ok, report.checked, failure, report.table
+
+
+OPERAD_PAIRS = [(sel, kind) for sel in ("as", "comp", "motz", "dias", "fcat:1", "fcat:2",
+                                        "fcat:3")
+                for kind in ("uv", "uu")]
+FREE_PAIRS = [(text, kind) for text in ("a:2", "a:2,c:3", "e:1,c:3") for kind in ("uv", "uu")]
+
+
+def operad_pair(selector, kind):
+    op = get_operad(selector)
+    return op, (operads.prefix_pair if kind == "uv" else operads.self_pair)(op)
+
+
+@pytest.mark.parametrize("selector,kind", OPERAD_PAIRS)
+def test_discovery_matches_the_oracle_on_operads(selector, kind):
+    _, pair = operad_pair(selector, kind)
+    report = pair.check_phi_diagonal(None, 4)
+    assert report.mode == "discover"
+    assert summary(report) == reference_report(pair, None, 4)
+
+
+@pytest.mark.parametrize("text,kind", FREE_PAIRS)
+def test_discovery_matches_the_oracle_on_free_pairs(text, kind):
+    alphabet = Alphabet.parse(text)
+    pair = (prefix_pair if kind == "uv" else self_pair)(alphabet)
+    report = pair.check_phi_diagonal(None, 4)
+    assert summary(report) == reference_report(pair, None, 4)
+
+
+def test_two_letter_self_pair_failure_matches_the_oracle(a2b2):
+    pair = self_pair(a2b2)
+    report = pair.check_phi_diagonal(None, 2)
+    assert not report.ok
+    assert summary(report) == reference_report(pair, None, 2)
+
+
+@pytest.mark.parametrize("selector,kind", [("fcat:2", "uv"), ("motz", "uv"), ("dias", "uu")])
+def test_wrong_phi_failure_matches_the_oracle(selector, kind):
+    op, pair = operad_pair(selector, kind)
+    wrong = lambda x: op.phi(x) + 1
+    report = pair.check_phi_diagonal(wrong, 4)
+    assert report.mode == "check" and report.checked == 1
+    assert summary(report) == reference_report(pair, wrong, 4)
+    # off by one only at the last element of rank 3: every earlier one passes
+    target = op.elements_of_rank(3)[-1]
+    late = lambda x: op.phi(x) + (x == target)
+    report = pair.check_phi_diagonal(late, 4)
+    assert report.checked == sum(len(op.elements_of_rank(r)) for r in range(4))
+    assert summary(report) == reference_report(pair, late, 4)
+    assert report.witness().expected == Combination.unit(op, target, op.phi(target) + 1)
+
+
+def test_wrong_phi_on_a_free_pair_matches_the_oracle(a2c3):
+    pair = prefix_pair(a2c3)
+    wrong = lambda t: phi_free(t, a2c3) + 1
+    report = pair.check_phi_diagonal(wrong, 3)
+    assert summary(report) == reference_report(pair, wrong, 3)
 
 
 def test_check_iterated_identity(a2):
