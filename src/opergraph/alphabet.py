@@ -28,6 +28,14 @@ class Letter:
         return f"{self.name}:{self.arity}"
 
 
+def _arity(text: str, piece: str, form: str) -> int:
+    """The arity in one piece of alphabet text written as ``form``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected {form} with an integer arity, got {piece!r}") from None
+
+
 class Alphabet:
     """Finite ordered collection of letters; declaration order is canonical."""
 
@@ -56,8 +64,10 @@ class Alphabet:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                name, arity = line.split()
-                pairs.append(Letter(name, int(arity)))
+                fields = line.split()
+                if len(fields) != 2:
+                    raise ValueError(f"expected 'name arity', got {line!r}")
+                pairs.append(Letter(fields[0], _arity(fields[1], line, "'name arity'")))
             return cls(pairs)
         if not text:
             return cls(())
@@ -66,7 +76,7 @@ class Alphabet:
             name, _, arity = chunk.strip().partition(":")
             if not arity:
                 raise ValueError(f"expected name:arity, got {chunk!r}")
-            pairs.append(Letter(name, int(arity)))
+            pairs.append(Letter(name, _arity(arity, chunk, "name:arity")))
         return cls(pairs)
 
     def __iter__(self):

@@ -450,6 +450,10 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the tree walks that still recurse reach here on very deep terms
+        print("error: the input nests too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

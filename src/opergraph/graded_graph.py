@@ -20,10 +20,10 @@ from .series import Series2
 
 
 class GradedGraph:
-    def __init__(self, universe, up: Callable, *, up_star: Callable | None = None,
-                 name: str = ""):
+    def __init__(self, universe, up: Callable, *, name: str,
+                 up_star: Callable | None = None):
         self.universe = universe
-        self.name = name or universe.name
+        self.name = name
         self._up = up
         self._explicit_star = up_star
         self._reverse: dict[int, dict] = {}
@@ -157,16 +157,16 @@ class GradedGraph:
 
     # -- exports ---------------------------------------------------------------------
 
-    def export_dot(self, max_rank: int, min_rank: int = 0) -> str:
+    def export_dot(self, max_rank: int) -> str:
         render = self.universe.render_elem
         lines = [f'digraph "{self.name}" {{', "  node [shape=box];"]
-        for rank in range(min_rank, max_rank + 1):
+        for rank in range(max_rank + 1):
             lines.append(f"  subgraph cluster_{rank} {{")
             lines.append(f'    label="rank {rank}"; rank=same;')
             for x in self.universe.elements_of_rank(rank):
                 lines.append(f'    "{render(x)}";')
             lines.append("  }")
-        for rank in range(min_rank, max_rank):
+        for rank in range(max_rank):
             for x in self.universe.elements_of_rank(rank):
                 for y, w in self._up(x).items():
                     label = "" if w == 1 else f' [label="{w}"]'
@@ -174,13 +174,13 @@ class GradedGraph:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def export_json(self, max_rank: int, min_rank: int = 0) -> dict:
+    def export_json(self, max_rank: int) -> dict:
         render = self.universe.render_elem
         nodes, edges = [], []
-        for rank in range(min_rank, max_rank + 1):
+        for rank in range(max_rank + 1):
             for x in self.universe.elements_of_rank(rank):
                 nodes.append({"id": render(x), "rank": rank})
-        for rank in range(min_rank, max_rank):
+        for rank in range(max_rank):
             for x in self.universe.elements_of_rank(rank):
                 for y, w in self._up(x).items():
                     edges.append({"src": render(x), "dst": render(y), "w": w})

@@ -3,8 +3,10 @@
 Each operad packages an element codec, composition, a degree, its minimal
 generators, and explicit up/twisted maps; it doubles as the universe object
 for combinations and graded graphs over its elements.  Elements are plain
-ints (the chain), tuples of small ints (all word operads) or syntax trees
-(the free operad on an alphabet, ``TreeUniverse``).
+ints (the chain), syntax trees (the free operad on an alphabet,
+``TreeUniverse``) or tuples of small ints: ``WordOperad`` holds what the
+word operads (dias, comp, motz, fcat:m) share, and each keeps only its own
+generators, shift, word predicate, slices, twisted map and diagonal.
 
 The graph builders at the end of this module are the only ones.  They take
 any operad, the free ones included.
@@ -12,7 +14,6 @@ any operad, the free ones included.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import product
 
 from .alphabet import Alphabet, Letter
 from .graded_graph import GradedGraph, GradedGraphPair
@@ -42,9 +43,10 @@ def render_word(u: tuple[int, ...]) -> str:
 
 def parse_word(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if "," in text:
-        return tuple(int(x) for x in text.split(","))
-    return tuple(int(ch) for ch in text)
+    try:
+        return tuple(int(a) for a in (text.split(",") if "," in text else text))
+    except ValueError:
+        raise ValueError(f"expected a word such as 0110 or 0,12,1, got {text!r}") from None
 
 
 class Operad:
@@ -153,7 +155,7 @@ class AsOperad(Operad):
         return str(x)
 
     def parse_elem(self, text):
-        x = int(text)
+        x = int(text) if text.strip().isdigit() else None
         if not self.contains(x):
             raise ValueError(f"{text!r} is not an element of {self.name}")
         return x
@@ -165,14 +167,17 @@ class AsOperad(Operad):
         return 1
 
 
-class DiasOperad(Operad):
-    """Binary words with exactly one 0; substitution lifts the inserted word
-    by the replaced letter."""
+class WordOperad(Operad):
+    """Operads on nonempty int words, of arity their length: composing y at i
+    puts ``shift(x[i-1], y)`` in place of ``x[i-1]``; words pass ``is_word``."""
 
-    name = "dias"
     unit = (0,)
-    generators = ((0, 1), (1, 0))
-    phi_pair = "uu"
+
+    def shift(self, pivot: int, y: tuple[int, ...]) -> tuple[int, ...]:
+        raise NotImplementedError
+
+    def is_word(self, x: tuple[int, ...]) -> bool:
+        raise NotImplementedError
 
     def arity(self, x):
         return len(x)
@@ -181,13 +186,34 @@ class DiasOperad(Operad):
         return len(x) - 1
 
     def compose(self, x, i, y):
-        pivot = x[i - 1]
-        inserted = tuple(max(pivot, a) for a in y)
-        return x[:i - 1] + inserted + x[i:]
+        return x[:i - 1] + self.shift(x[i - 1], y) + x[i:]
 
     def contains(self, x):
-        return (isinstance(x, tuple) and len(x) >= 1
-                and all(a in (0, 1) for a in x) and x.count(0) == 1)
+        return isinstance(x, tuple) and len(x) >= 1 and self.is_word(x)
+
+
+def _words(n: int, nexts) -> list[tuple[int, ...]]:
+    """Words of length n from 0 on, each next letter drawn from ``nexts(last
+    letter, letters left after it)``; ascending ``nexts`` keep them sorted."""
+    words = [(0,)] if n >= 1 else []
+    for k in range(1, n):
+        words = [w + (a,) for w in words for a in nexts(w[-1], n - k - 1)]
+    return words
+
+
+class DiasOperad(WordOperad):
+    """Binary words with exactly one 0; substitution lifts the inserted word
+    by the replaced letter."""
+
+    name = "dias"
+    generators = ((0, 1), (1, 0))
+    phi_pair = "uu"
+
+    def shift(self, pivot, y):
+        return tuple([max(pivot, a) for a in y])
+
+    def is_word(self, x):
+        return all(a in (0, 1) for a in x) and x.count(0) == 1
 
     def elements_of_arity(self, n):
         return [(1,) * k + (0,) + (1,) * (n - 1 - k) for k in range(n)]
@@ -201,31 +227,21 @@ class DiasOperad(Operad):
         return (1 if k == 0 else 8 * k) + (1 if ell == 0 else 8 * ell)
 
 
-class CompOperad(Operad):
+class CompOperad(WordOperad):
     """Binary words starting with 0; substitution complements the inserted
     word under a 1."""
 
     name = "comp"
-    unit = (0,)
     generators = ((0, 0), (0, 1))
 
-    def arity(self, x):
-        return len(x)
+    def shift(self, pivot, y):
+        return y if pivot == 0 else tuple([1 - a for a in y])
 
-    def degree(self, x):
-        return len(x) - 1
-
-    def compose(self, x, i, y):
-        pivot = x[i - 1]
-        inserted = y if pivot == 0 else tuple(1 - a for a in y)
-        return x[:i - 1] + inserted + x[i:]
-
-    def contains(self, x):
-        return (isinstance(x, tuple) and len(x) >= 1 and x[0] == 0
-                and all(a in (0, 1) for a in x))
+    def is_word(self, x):
+        return x[0] == 0 and all(a in (0, 1) for a in x)
 
     def elements_of_arity(self, n):
-        return [(0,) + tail for tail in product((0, 1), repeat=n - 1)]
+        return _words(n, lambda a, rest: (0, 1))
 
     def v_explicit(self, x):
         return [x + (0,), x + (1,)]
@@ -234,49 +250,27 @@ class CompOperad(Operad):
         return 2
 
 
-class MotzOperad(Operad):
+class MotzOperad(WordOperad):
     """Nonnegative words from 0 to 0 with unit steps; substitution shifts the
     inserted word up by the replaced letter."""
 
     name = "motz"
-    unit = (0,)
     generators = ((0, 0), (0, 1, 0))
-
-    def arity(self, x):
-        return len(x)
 
     def degree(self, x):
         ascents = sum(1 for a, b in zip(x, x[1:]) if b == a + 1)
         return len(x) - 1 - ascents
 
-    def compose(self, x, i, y):
-        pivot = x[i - 1]
-        inserted = tuple(a + pivot for a in y)
-        return x[:i - 1] + inserted + x[i:]
+    def shift(self, pivot, y):
+        return tuple([a + pivot for a in y])
 
-    def contains(self, x):
-        return (isinstance(x, tuple) and len(x) >= 1
-                and x[0] == 0 and x[-1] == 0 and all(a >= 0 for a in x)
+    def is_word(self, x):
+        return (x[0] == 0 and x[-1] == 0 and all(a >= 0 for a in x)
                 and all(abs(b - a) <= 1 for a, b in zip(x, x[1:])))
 
     def elements_of_arity(self, n):
-        out = []
-
-        def extend(word):
-            if len(word) == n:
-                if word[-1] == 0:
-                    out.append(tuple(word))
-                return
-            remaining = n - len(word) - 1
-            for step in (-1, 0, 1):
-                value = word[-1] + step
-                if 0 <= value <= remaining:
-                    word.append(value)
-                    extend(word)
-                    word.pop()
-
-        extend([0])
-        return sorted(out)
+        # a letter above the number still to come could not step back to 0
+        return _words(n, lambda a, rest: [b for b in (a - 1, a, a + 1) if 0 <= b <= rest])
 
     def v_explicit(self, x):
         out = []
@@ -292,11 +286,9 @@ class MotzOperad(Operad):
         return 2 + sum(1 for a, b in zip(x, x[1:]) if a != b)
 
 
-class FCatOperad(Operad):
+class FCatOperad(WordOperad):
     """Nonnegative words with 0 first and ascents bounded by m; substitution
     shifts the inserted word up by the replaced letter."""
-
-    unit = (0,)
 
     def __init__(self, m: int):
         if m < 0:
@@ -306,36 +298,15 @@ class FCatOperad(Operad):
         self.generators = tuple((0, a) for a in range(m + 1))
         super().__init__()
 
-    def arity(self, x):
-        return len(x)
+    def shift(self, pivot, y):
+        return tuple([a + pivot for a in y])
 
-    def degree(self, x):
-        return len(x) - 1
-
-    def compose(self, x, i, y):
-        pivot = x[i - 1]
-        inserted = tuple(a + pivot for a in y)
-        return x[:i - 1] + inserted + x[i:]
-
-    def contains(self, x):
-        return (isinstance(x, tuple) and len(x) >= 1 and x[0] == 0
-                and all(a >= 0 for a in x)
+    def is_word(self, x):
+        return (x[0] == 0 and all(a >= 0 for a in x)
                 and all(b <= a + self.m for a, b in zip(x, x[1:])))
 
     def elements_of_arity(self, n):
-        out = []
-
-        def extend(word):
-            if len(word) == n:
-                out.append(tuple(word))
-                return
-            for value in range(word[-1] + self.m + 1):
-                word.append(value)
-                extend(word)
-                word.pop()
-
-        extend([0])
-        return sorted(out)
+        return _words(n, lambda a, rest: range(a + self.m + 1))
 
     def v_explicit(self, x):
         return [x + (a,) for a in range(x[-1] + self.m + 1)]
@@ -409,20 +380,21 @@ class TreeUniverse(Operad):
         return Combination(self, dict.fromkeys(_contractions(t), 1))
 
 
+_OPERADS = {"as": AsOperad, "dias": DiasOperad, "comp": CompOperad, "motz": MotzOperad}
+
+
 @lru_cache(maxsize=None)
 def get_operad(selector: str) -> Operad:
     """Selector strings: as | dias | comp | motz | fcat:<m>."""
-    selector = selector.strip().lower()
-    if selector == "as":
-        return AsOperad()
-    if selector == "dias":
-        return DiasOperad()
-    if selector == "comp":
-        return CompOperad()
-    if selector == "motz":
-        return MotzOperad()
-    if selector.startswith("fcat:"):
-        return FCatOperad(int(selector.split(":", 1)[1]))
+    key = selector.strip().lower()
+    if key in _OPERADS:
+        return _OPERADS[key]()
+    name, _, m = key.partition(":")
+    if name == "fcat":
+        try:
+            return FCatOperad(int(m))
+        except ValueError:
+            raise ValueError(f"expected fcat:<m> with an integer m >= 0, got {selector!r}") from None
     raise ValueError(f"unknown operad selector {selector!r}")
 
 
@@ -554,18 +526,9 @@ def minimal_generators(op: Operad, arity_max: int) -> list:
 
 
 def operad_poset_leq(op: Operad, x, y) -> bool:
-    """x below y in the prefix order: reachability along generator grafts."""
-    dx, dy = op.degree(x), op.degree(y)
-    if dx > dy:
-        return False
-    frontier = {x}
-    for _ in range(dy - dx):
-        grown = set()
-        for z in frontier:
-            for w, _ in up_operad(op, z).terms():
-                grown.add(w)
-        frontier = grown
-    return y in frontier
+    """x below y in the prefix order: some path of generator grafts leads
+    from x to y (every edge weight is positive)."""
+    return prefix_graph(op).path_weight_sum(x, y) > 0
 
 
 # -- graph builders ------------------------------------------------------------------------

@@ -1,27 +1,18 @@
 """Exact truncated power series in the markers q and t.
 
-Coefficients are exact (Python ints, falling back to ``Fraction`` when a
-division sneaks in).  A series either carries a truncation order in t
+inticients are Python ints, exact at any size; a series rejects any other
+coefficient when it is built.  A series either carries a truncation order in t
 (``t_trunc``) or is an exact polynomial (``t_trunc is None``).  Univariate
 polynomials/series in t are the special case with no q marker.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import Callable, Mapping, Union
-
-Coeff = Union[int, Fraction]
+from typing import Callable, Mapping
 
 
 class NonContractionError(RuntimeError):
     """Fixed-point iteration failed to stabilize at the requested order."""
-
-
-def _norm(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 class Series2:
@@ -29,14 +20,15 @@ class Series2:
 
     __slots__ = ("coeffs", "t_trunc")
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], Coeff] = (), t_trunc: int | None = None):
-        clean: dict[tuple[int, int], Coeff] = {}
+    def __init__(self, coeffs: Mapping[tuple[int, int], int] = (), t_trunc: int | None = None):
+        clean: dict[tuple[int, int], int] = {}
         for (i, j), c in dict(coeffs).items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in monomial q^{i} t^{j}")
             if t_trunc is not None and j > t_trunc:
                 continue
-            c = _norm(c)
+            if not isinstance(c, int):
+                raise TypeError(f"series coefficients are ints, got {c!r} at q^{i} t^{j}")
             if c:
                 clean[(i, j)] = c
         self.coeffs = clean
@@ -53,7 +45,7 @@ class Series2:
         return cls({(0, 0): 1}, t_trunc)
 
     @classmethod
-    def monomial(cls, c: Coeff = 1, q: int = 0, t: int = 0, t_trunc: int | None = None) -> "Series2":
+    def monomial(cls, c: int = 1, q: int = 0, t: int = 0, t_trunc: int | None = None) -> "Series2":
         return cls({(q, t): c}, t_trunc)
 
     @classmethod
@@ -70,31 +62,22 @@ class Series2:
 
     # -- basic queries ------------------------------------------------------
 
-    def coeff(self, q: int, t: int) -> Coeff:
+    def coeff(self, q: int, t: int) -> int:
         return self.coeffs.get((q, t), 0)
 
-    def t_coeff(self, j: int) -> dict[int, Coeff]:
+    def t_coeff(self, j: int) -> dict[int, int]:
         """The coefficient of t^j as a map q-exponent -> coefficient."""
         return {i: c for (i, jj), c in self.coeffs.items() if jj == j}
 
     def max_t_degree(self) -> int:
         return max((j for (_, j) in self.coeffs), default=0)
 
-    def t_coeff_list(self, up_to: int | None = None) -> list[Coeff]:
-        """Coefficient list of a univariate series, ascending t-degree."""
+    def t_coeff_list(self, up_to: int | None = None) -> list[int]:
+        """inticient list of a univariate series, ascending t-degree."""
         if any(i for (i, _) in self.coeffs):
             raise ValueError("series involves q; not univariate in t")
         top = self.max_t_degree() if up_to is None else up_to
         return [self.coeffs.get((0, j), 0) for j in range(top + 1)]
-
-    def is_integral(self) -> bool:
-        return all(not isinstance(c, Fraction) for c in self.coeffs.values())
-
-    def require_integral(self) -> "Series2":
-        if not self.is_integral():
-            bad = next(k for k, c in self.coeffs.items() if isinstance(c, Fraction))
-            raise ValueError(f"non-integer coefficient {self.coeffs[bad]} at q^{bad[0]} t^{bad[1]}")
-        return self
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -119,12 +102,12 @@ class Series2:
     def __sub__(self, other: "Series2") -> "Series2":
         return self + (-other)
 
-    def scale(self, c: Coeff) -> "Series2":
+    def scale(self, c: int) -> "Series2":
         return Series2({k: v * c for k, v in self.coeffs.items()}, self.t_trunc)
 
     def __mul__(self, other: "Series2") -> "Series2":
         trunc = self._join_trunc(other)
-        out: dict[tuple[int, int], Coeff] = {}
+        out: dict[tuple[int, int], int] = {}
         for (i1, j1), c1 in self.coeffs.items():
             for (i2, j2), c2 in other.coeffs.items():
                 j = j1 + j2
@@ -146,7 +129,7 @@ class Series2:
         if self.t_trunc is not None and inner.coeff(0, 0) != 0:
             raise ValueError("substitution into a truncated series needs a "
                              "zero constant term in the inner series")
-        by_j: dict[int, dict[int, Coeff]] = {}
+        by_j: dict[int, dict[int, int]] = {}
         for (i, j), c in self.coeffs.items():
             by_j.setdefault(j, {})[i] = c
         trunc = self._join_trunc(inner)
@@ -161,8 +144,8 @@ class Series2:
                 result = result + qpoly * power
         return result
 
-    def eval_q(self, value: Coeff) -> "Series2":
-        out: dict[tuple[int, int], Coeff] = {}
+    def eval_q(self, value: int) -> "Series2":
+        out: dict[tuple[int, int], int] = {}
         for (i, j), c in self.coeffs.items():
             k = (0, j)
             out[k] = out.get(k, 0) + c * value ** i
@@ -198,7 +181,7 @@ class Series2:
         return self.render()
 
 
-def _render_qpoly(row: dict[int, Coeff]) -> str:
+def _render_qpoly(row: dict[int, int]) -> str:
     bits = []
     for i in sorted(row):
         c = row[i]
@@ -210,7 +193,7 @@ def _render_qpoly(row: dict[int, Coeff]) -> str:
     return " + ".join(bits).replace("+ -", "- ")
 
 
-def _render_row(row: dict[int, Coeff], j: int) -> str:
+def _render_row(row: dict[int, int], j: int) -> str:
     tpow = "" if j == 0 else ("t" if j == 1 else f"t^{j}")
     if list(row) == [0]:
         c = row[0]
@@ -218,17 +201,15 @@ def _render_row(row: dict[int, Coeff], j: int) -> str:
             return str(c)
         return tpow if c == 1 else f"{c}{tpow}"
     content = 0
-    if all(not isinstance(c, Fraction) for c in row.values()):
-        for c in row.values():
-            content = gcd(content, abs(c))
+    for c in row.values():
+        content = gcd(content, abs(c))
     if content > 1:
         inner = _render_qpoly({i: c // content for i, c in row.items()})
         return f"{content}({inner}){tpow}"
     return f"({_render_qpoly(row)}){tpow}"
 
 
-def fixed_point(func: Callable[[Series2], Series2], t_trunc: int,
-                require_integral: bool = False) -> Series2:
+def fixed_point(func: Callable[[Series2], Series2], t_trunc: int) -> Series2:
     """Solve S = func(S) mod t^(t_trunc+1) by iteration.
 
     Starts from func(0) and applies func exactly t_trunc + 1 more times;
@@ -244,6 +225,4 @@ def fixed_point(func: Callable[[Series2], Series2], t_trunc: int,
         raise NonContractionError(
             f"iteration did not stabilize at t-order {t_trunc}: "
             f"{s.render()} vs {again.render()}")
-    if require_integral:
-        s.require_integral()
     return s

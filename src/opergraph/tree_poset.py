@@ -150,7 +150,7 @@ def _prefixes(t: SyntaxTree) -> tuple[SyntaxTree, ...]:
 def interval_shadow(s: SyntaxTree, t: SyntaxTree) -> Shadow:
     if not poset_leq(s, t):
         raise NotComparableError(f"{s.term} is not a prefix of {t.term}")
-    return shadow(slot_tree(difference_forest(s, t)))
+    return Shadow(shadow(r) for r in difference_forest(s, t) if not r.is_leaf)
 
 
 def interval_count(s: SyntaxTree, t: SyntaxTree) -> int:
@@ -225,7 +225,7 @@ def interval_series(alphabet: Alphabet, t_trunc: int) -> Series2:
         marked = qt * gen.subs_t(f)
         return one + t * gen.subs_t(f - marked) + marked
 
-    return fixed_point(equation, t_trunc, require_integral=True)
+    return fixed_point(equation, t_trunc)
 
 
 def interval_count_brute(alphabet: Alphabet, lower_degree: int, upper_degree: int) -> int:

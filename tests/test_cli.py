@@ -261,3 +261,54 @@ def test_deep_hooks_do_not_recurse(capsys, command):
     code, out = run(capsys, command, "--alphabet", "e:1", "--degree", "1500")
     assert code == 0
     assert out == "e[" * 1500 + "*" + "]" * 1500 + " 1\n"
+
+
+DEEP = "e[" * 2000 + "*" + "]" * 2000
+
+
+@pytest.mark.parametrize("argv", [
+    ["poset", "meet", "--alphabet", "e:1", "--left", DEEP, "--right", "*"],
+    ["poset", "join", "--alphabet", "e:1", "--left", DEEP, "--right", "*"],
+    ["poset", "interval", "--alphabet", "e:1", "--lower", "*", "--upper", DEEP],
+], ids=lambda argv: argv[1])
+def test_deep_terms_are_usage_errors(capsys, argv):
+    """Parsing and the prefix-order walks still recurse once per level; a
+    term past the recursion limit is a one-line usage error."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the input nests too deeply\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trees", "--alphabet", "a 2 3", "--degree", "1"],
+     "expected 'name arity', got 'a 2 3'"),
+    (["trees", "--alphabet", "a x", "--degree", "1"],
+     "expected 'name arity' with an integer arity, got 'a x'"),
+    (["trees", "--alphabet", "a:x", "--degree", "1"],
+     "expected name:arity with an integer arity, got 'a:x'"),
+    (["operad", "fcat:x", "hook", "--max", "1"],
+     "expected fcat:<m> with an integer m >= 0, got 'fcat:x'"),
+    (["operad", "comp", "up", "--element", "0a"],
+     "expected a word such as 0110 or 0,12,1, got '0a'"),
+    (["operad", "as", "up", "--element", "x"], "'x' is not an element of as"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
+def test_malformed_text_names_itself_and_the_expected_form(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_fixtures_without_a_match_exits_2(capsys):
+    assert main(["verify-fixtures", "--filter", "zzz"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "no fixtures match 'zzz'\n"
+
+
+def test_verify_fixtures_json(capsys):
+    code, out = run(capsys, "verify-fixtures", "--filter", "hook", "--json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["id"] for row in rows] == [fx["id"] for fx, *_ in verify_fixtures("hook")]
+    assert rows and all(set(row) == {"id", "ok", "expected", "actual"} and row["ok"]
+                        for row in rows)

@@ -71,15 +71,15 @@ def test_fixed_point_idempotence():
     assert eq(series).truncate(5) == series
 
 
-def test_integrality_flag():
-    good = Series2.from_t_coeffs([1, 2, 3])
-    assert good.is_integral()
-    bad = Series2({(0, 1): Fraction(1, 2)})
-    assert not bad.is_integral()
-    with pytest.raises(ValueError):
-        bad.require_integral()
-    # fractions that reduce to integers normalize away
-    assert Series2({(0, 0): Fraction(4, 2)}).is_integral()
+def test_fractions_are_rejected():
+    """Coefficients are ints only: nothing in the package divides."""
+    with pytest.raises(TypeError, match=r"ints, got Fraction\(1, 2\) at q\^0 t\^1"):
+        Series2({(0, 1): Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        Series2({(0, 0): Fraction(4, 2)})
+    with pytest.raises(TypeError):
+        Series2.from_t_coeffs([1, 2.0])
+    assert Series2.from_t_coeffs([1, 2, 3]).t_coeff_list() == [1, 2, 3]
 
 
 def test_eval_q():

@@ -72,6 +72,28 @@ def test_quasi_maximal_and_non_first_framed_examples(eac):
     assert stats.non_first_leaves == ((2, 2), (2, 3), (3, 2, 2), (3, 3, 2), (3, 3, 3))
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("", "unexpected end of input", 0),
+    ("a[*,", "unexpected end of input", 4),
+    ("a[]", "expected '*' or a letter, found ']'", 2),
+    ("a(*,*)", "expected '[' after letter 'a'", 1),
+    ("a", "expected '[' after letter 'a'", 1),
+    ("a[*;*]", "expected ',' or ']'", 3),
+    ("a[*,*", "expected ',' or ']'", 5),
+])
+def test_each_syntax_error_names_its_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_term(text, ABC)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_compose_index_rejects_a_missing_leaf(i):
+    with pytest.raises(IndexError, match=r"leaf index -?\d+ out of range 1\.\.2 for a\[\*,\*\]"):
+        compose_index(corolla(ABC["a"]), i, LEAF)
+
+
 def test_compose_index_worked_example():
     t = parse_term("a[b[*,a[*,*]],c[*,*,*]]", ABC)
     s = parse_term("c[*,*,b[*,*]]", ABC)
