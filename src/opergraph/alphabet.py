@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from .series import Series2
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-# grafting-slot letters (#k) are reserved for internal interval encodings
-_SLOT_RE = re.compile(r"#[0-9]+\Z")
 
 
 @dataclass(frozen=True, order=True)
@@ -19,7 +17,7 @@ class Letter:
     arity: int
 
     def __post_init__(self):
-        if not (_NAME_RE.match(self.name) or _SLOT_RE.match(self.name)):
+        if not _NAME_RE.match(self.name):
             raise ValueError(f"invalid letter name {self.name!r}")
         if self.arity < 1:
             raise ValueError(f"letter {self.name!r} needs arity >= 1, got {self.arity}")

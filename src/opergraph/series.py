@@ -1,6 +1,6 @@
 """Exact truncated power series in the markers q and t.
 
-inticients are Python ints, exact at any size; a series rejects any other
+Coefficients are Python ints, exact at any size; a series rejects any other
 coefficient when it is built.  A series either carries a truncation order in t
 (``t_trunc``) or is an exact polynomial (``t_trunc is None``).  Univariate
 polynomials/series in t are the special case with no q marker.
@@ -73,7 +73,7 @@ class Series2:
         return max((j for (_, j) in self.coeffs), default=0)
 
     def t_coeff_list(self, up_to: int | None = None) -> list[int]:
-        """inticient list of a univariate series, ascending t-degree."""
+        """Coefficient list of a univariate series, ascending t-degree."""
         if any(i for (i, _) in self.coeffs):
             raise ValueError("series involves q; not univariate in t")
         top = self.max_t_degree() if up_to is None else up_to

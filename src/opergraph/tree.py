@@ -148,7 +148,7 @@ def parse_term(text: str, alphabet: Alphabet) -> SyntaxTree:
             pos += 1
             return LEAF
         start = pos
-        while pos < len(text) and (text[pos].isalnum() or text[pos] in "_#"):
+        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
             pos += 1
         name = text[start:pos]
         if not name:

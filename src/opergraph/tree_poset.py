@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .alphabet import Alphabet, Letter
-from .series import Series2, fixed_point
+from .alphabet import Alphabet
+from .series import Series2
 from .tree import (LEAF, SyntaxTree, compose_forest, enumerate_trees, is_prefix,
                    node)
 
@@ -69,18 +69,6 @@ def render_forest(forest: Forest) -> str:
 def parse_forest(text: str, alphabet: Alphabet) -> Forest:
     from .tree import parse_term
     return tuple(parse_term(chunk, alphabet) for chunk in text.split(";"))
-
-
-def slot_letter(k: int) -> Letter:
-    """The reserved arity-k letter used to root a forest; never user-visible."""
-    return Letter(f"#{k}", k)
-
-
-def slot_tree(forest: Forest) -> SyntaxTree:
-    """Root the forest on a fresh reserved letter of matching arity."""
-    if not forest:
-        raise ValueError("forests are nonempty")
-    return node(slot_letter(len(forest)), forest)
 
 
 # -- shadows ---------------------------------------------------------------------
@@ -213,19 +201,54 @@ def interval_series(alphabet: Alphabet, t_trunc: int) -> Series2:
     """Bivariate interval counts: q marks the degree of the lower bound,
     t the degree of the upper bound.
 
-    Solves F = 1 + t*R(F - q*t*R(F)) + q*t*R(F) where R is the alphabet's
-    counting polynomial, by contraction iteration.
+    Solves F = 1 + t*R(G) + q*t*R(F) with G = F - q*t*R(F), where R is the
+    alphabet's counting polynomial.  The two split into G = 1 + t*R(G) (the
+    plain tree count) and F = G + q*t*R(F), so the t^n rows of F and G need
+    only rows below n.  F, G and their powers up to the largest arity grow
+    one t-degree at a time, each row a dense list of ints indexed by q-degree.
     """
-    gen = alphabet.gen_poly()
-    qt = Series2.q(t_trunc) * Series2.t(t_trunc)
-    t = Series2.t(t_trunc)
-    one = Series2.one(t_trunc)
+    weights: dict[int, int] = {}
+    for letter in alphabet:
+        weights[letter.arity] = weights.get(letter.arity, 0) + 1
+    top = max(weights, default=1)
+    f_pows: list[list[list[int]]] = [[] for _ in range(top)]
+    g_pows: list[list[list[int]]] = [[] for _ in range(top)]
+    f_row = g_row = [1]
+    for n in range(t_trunc + 1):
+        if n:
+            # G's rows are q-free (one entry), so adding q*R(F) appends
+            g_row = _weighted_row(g_pows, weights, n - 1)
+            f_row = g_row + _weighted_row(f_pows, weights, n - 1)
+        _extend_powers(f_pows, f_row)
+        _extend_powers(g_pows, g_row)
+    return Series2({(i, n): c for n, row in enumerate(f_pows[0])
+                    for i, c in enumerate(row)}, t_trunc)
 
-    def equation(f: Series2) -> Series2:
-        marked = qt * gen.subs_t(f)
-        return one + t * gen.subs_t(f - marked) + marked
 
-    return fixed_point(equation, t_trunc)
+def _extend_powers(pows: list[list[list[int]]], row: list[int]) -> None:
+    """Append the next t-row of S to ``pows[0]`` (S itself) and the matching
+    row of each S^k = S * S^(k-1) to ``pows[k-1]``, one convolution each."""
+    base = pows[0]
+    base.append(row)
+    n = len(base) - 1
+    for prev, cur in zip(pows, pows[1:]):
+        out = [0] * (max(len(base[j]) + len(prev[n - j]) for j in range(n + 1)) - 1)
+        for j in range(n + 1):
+            other = prev[n - j]
+            for i, x in enumerate(base[j]):
+                if x:
+                    for k, y in enumerate(other, i):
+                        out[k] += x * y
+        cur.append(out)
+
+
+def _weighted_row(pows: list[list[list[int]]], weights: dict[int, int], n: int) -> list[int]:
+    """The t^n row of R(S) = sum over arities k of weights[k] * S^k."""
+    out = [0] * max((len(pows[k - 1][n]) for k in weights), default=0)
+    for k, w in weights.items():
+        for i, c in enumerate(pows[k - 1][n]):
+            out[i] += w * c
+    return out
 
 
 def interval_count_brute(alphabet: Alphabet, lower_degree: int, upper_degree: int) -> int:

@@ -22,8 +22,8 @@ def test_letter_validation():
         Letter("a", 0)
     with pytest.raises(ValueError):
         Alphabet([Letter("a", 2), Letter("a", 3)])
-    # reserved grafting-slot names are allowed internally
-    assert Letter("#5", 5).arity == 5
+    with pytest.raises(ValueError):
+        Letter("#5", 5)
 
 
 def test_gen_poly():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from opergraph.cli import main, verify_fixtures
+from opergraph.cli import load_fixtures, main, verify_fixtures
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -169,6 +169,29 @@ def test_usage_errors_exit_2():
 def test_bad_alphabet_exits_2(capsys):
     assert main(["trees", "--alphabet", "zz", "--degree", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_reserved_slot_letter_names_are_rejected(capsys):
+    """Letter names are lowercase identifiers, so ``#3`` is a usage error."""
+    assert main(["poset", "interval-series", "--alphabet", "#3:3", "--max", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid letter name '#3'\n"
+
+
+def test_interval_series_scales_to_order_60():
+    """The series grows one t-degree at a time, so order 60 finishes far
+    inside the timeout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "opergraph.cli", "poset", "interval-series",
+                           "--alphabet", "a:2", "--max", "60", "--q", "1"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0
+    terms = [int(c) for c in proc.stdout.strip().split(",")]
+    assert len(terms) == 61
+    pinned = next(fx for fx in load_fixtures() if fx["kind"] == "interval_q1")
+    assert terms[:8] == pinned["terms"]
 
 
 def test_check_duality_empty_alphabet(capsys):

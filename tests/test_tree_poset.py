@@ -2,9 +2,11 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from opergraph import (LEAF, Alphabet, compose_forest, corolla,
-                       enumerate_trees, is_prefix, parse_term)
+from opergraph import (LEAF, Alphabet, Letter, Series2, compose_forest,
+                       corolla, enumerate_trees, fixed_point, is_prefix, node,
+                       parse_term)
 from opergraph.free_graphs import up_star_free
 from opergraph.operads import TreeUniverse, up_operad
 from opergraph.tree_poset import (NotComparableError, Shadow, difference_forest,
@@ -12,7 +14,7 @@ from opergraph.tree_poset import (NotComparableError, Shadow, difference_forest,
                                   interval_isomorphic, interval_series,
                                   interval_shadow, is_stringy, join, load,
                                   meet, poset_leq, prefixes, shadow,
-                                  slot_tree, stringy_count)
+                                  stringy_count)
 
 
 def all_trees(alphabet, max_degree):
@@ -166,9 +168,10 @@ def test_load(eac):
 
 
 def test_load_counts_prefixes(a2):
+    root = Alphabet.parse("a:2,r:1")["r"]
     for d in range(1, 5):
         for t in enumerate_trees(a2, d):
-            assert load(shadow(slot_tree((t,)))) == len(prefixes(t))
+            assert load(shadow(node(root, (t,)))) == len(prefixes(t))
 
 
 def test_interval_examples(a2):
@@ -275,6 +278,41 @@ def test_interval_series_displayed_rows(a2):
     assert series.eval_q(1).t_coeff_list(5) == [1, 2, 6, 21, 80, 322]
 
 
+def interval_series_by_iteration(alphabet, t_trunc):
+    """The oracle: F = 1 + t*R(F - q*t*R(F)) + q*t*R(F) solved by applying the
+    whole equation until it stops changing."""
+    gen = alphabet.gen_poly()
+    qt = Series2.q(t_trunc) * Series2.t(t_trunc)
+
+    def equation(f):
+        marked = qt * gen.subs_t(f)
+        return Series2.one(t_trunc) + Series2.t(t_trunc) * gen.subs_t(f - marked) + marked
+
+    return fixed_point(equation, t_trunc)
+
+
+@pytest.mark.parametrize("spec", ["a:2", "a:2,c:3", "e:1,a:2,c:3"])
+def test_interval_series_matches_fixed_point(spec):
+    alphabet = Alphabet.parse(spec)
+    series = interval_series(alphabet, 20)
+    assert series.t_trunc == 20
+    assert series == interval_series_by_iteration(alphabet, 20)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_interval_series_matches_fixed_point_on_random_alphabets(arities):
+    alphabet = Alphabet(Letter(name, arity) for name, arity in zip("abc", arities))
+    assert interval_series(alphabet, 6) == interval_series_by_iteration(alphabet, 6)
+
+
+def test_interval_series_edge_orders(a2):
+    assert interval_series(a2, 0) == Series2.one(0)
+    empty = Alphabet(())
+    for order in range(8):
+        assert interval_series(empty, order) == Series2.one(order)
+
+
 def _shadow_poset(s):
     """Parent-pointer encoding of the shadow's node poset (root omitted)."""
     nodes, edges = [], []
@@ -329,8 +367,9 @@ def test_interval_join_irreducibles_are_slot_grafted_stringy_prefixes(a2):
     r1 = parse_term("a[a[*,*],*]", a2)
     r2 = parse_term("a[*,*]", a2)
     forest = (r1, r2)
-    bottom = corolla(slot_tree(forest).letter)
-    top = slot_tree(forest)
+    root = Alphabet.parse("a:2,r:2")["r"]
+    bottom = corolla(root)
+    top = node(root, forest)
     elements = interval(bottom, top, "elements")
     inside = set(elements)
     join_irreducible = set()
