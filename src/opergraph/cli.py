@@ -15,8 +15,7 @@ from .alphabet import Alphabet
 from .free_graphs import (hook_closed_form, phi_self_singleton, theta_row_sums,
                           twisted_hook)
 from .operads import (TreeUniverse, get_operad, minimal_generators, prefix_graph,
-                      prefix_pair, self_pair, twisted_graph, up_operad, v_operad,
-                      v_operad_oracle)
+                      prefix_pair, self_pair, twisted_graph, v_operad_oracle)
 from .tree import enumerate_trees, parse_term
 from .tree_poset import (interval, interval_series, join, load, meet, shadow,
                          stringy_count)
@@ -158,7 +157,8 @@ def cmd_operad(args) -> int:
     op = get_operad(args.selector)
     if args.operad_cmd in ("up", "v", "v-oracle"):
         x = op.parse_elem(args.element)
-        combo = {"up": up_operad, "v": v_operad, "v-oracle": v_operad_oracle}[args.operad_cmd](op, x)
+        combo = (v_operad_oracle(op, x) if args.operad_cmd == "v-oracle"
+                 else _graph(op, "u" if args.operad_cmd == "up" else "v").up(x))
         _emit(args, {"result": combo.to_json()}, lambda: print(combo.render()))
         return 0
     if args.operad_cmd == "hook":

@@ -26,11 +26,11 @@ from .tree import LEAF, SyntaxTree, _deletions, node_stats
 # -- the star maps ----------------------------------------------------------------
 
 def up_star_free(t: SyntaxTree, alphabet: Alphabet) -> Combination:
-    return TreeUniverse(alphabet).up_star(t)
+    return prefix_graph(alphabet).star(t)
 
 
 def v_star_free(t: SyntaxTree, alphabet: Alphabet) -> Combination:
-    return TreeUniverse(alphabet).v_star(t)
+    return twisted_graph(alphabet).star(t)
 
 
 # -- hook statistics ------------------------------------------------------------

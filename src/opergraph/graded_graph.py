@@ -1,14 +1,14 @@
 """Graded graphs: rank-indexed universes with an "up" operator.
 
-A graph is specified by its universe (an operad: rank slices, unit) and a
-linear map ``up`` sending each element to a combination one rank higher.
-Adjoints, path counting, hook series and the duality commutators are all
-derived here; concrete graphs plug in their universe and up map (and an
-explicit adjoint when a fast direct description exists).  The diagonal
-duality check runs one rank slice at a time over plain dicts, with
-``GradedGraphPair.duality_commutator`` as its independent oracle.  The
-prefix and twisted graphs of every operad, trees included, are built by the
-builders in ``operads``.
+A graph is specified by its universe (an operad: rank slices, unit), a row
+map ``up`` sending each element to a plain dict successor -> weight one rank
+higher, and optionally an explicit ``star`` row map for the adjoint.
+Adjoints, path counting, hooks, exports and the duality check all walk rows;
+``_star_rows`` is the one star accessor, and a ``Combination`` is built only
+where a public method returns one.  The diagonal duality check runs one rank
+slice at a time, with ``GradedGraphPair.duality_commutator`` as its
+independent oracle.  The prefix and twisted graphs of every operad, trees
+included, are built by the builders in ``operads``.
 """
 from __future__ import annotations
 
@@ -20,64 +20,61 @@ from .series import Series2
 
 
 class GradedGraph:
-    def __init__(self, universe, up: Callable, *, name: str,
-                 up_star: Callable | None = None):
+    def __init__(self, universe, up: Callable, *, name: str, star: Callable | None = None):
         self.universe = universe
         self.name = name
         self._up = up
-        self._explicit_star = up_star
+        self._star = star
         self._reverse: dict[int, dict] = {}
 
     # -- the two operators ---------------------------------------------------
 
     def up(self, x) -> Combination:
-        return self._up(x)
+        return Combination(self.universe, self._up(x))
 
     def _reverse_edges(self, rank: int) -> dict:
         """Predecessor table for elements of the given rank, built once from
-        the full rank-1 slice."""
+        the full rank-1 slice (empty at rank 0).  Its rows are lists of
+        (element, weight) pairs: most have one entry, which a list holds in
+        less memory than a dict."""
         cached = self._reverse.get(rank)
         if cached is not None:
             return cached
         table: dict = {}
         if rank >= 1:
             for x in self.universe.elements_of_rank(rank - 1):
-                for y, w in self._up(x).terms():
+                for y, w in self._up(x).items():
                     table.setdefault(y, []).append((x, w))
         self._reverse[rank] = table
         return table
 
     def up_adjoint(self, x) -> Combination:
-        """Adjoint of up, from the reverse-edge table of the lower slice."""
-        rank = self.universe.degree(x)
-        if rank == 0:
-            return Combination.zero(self.universe)
-        table = self._reverse_edges(rank)
-        return Combination(self.universe, dict(table.get(x, ())))
+        """Adjoint of up, from the reverse-edge table of x's rank."""
+        table = self._reverse_edges(self.universe.degree(x))
+        return Combination(self.universe, table.get(x, ()))
 
     def _star_rows(self, rank: int) -> Callable:
         """x -> the (element, weight) pairs of star(x), for the elements x of
-        one rank: a lookup fetched once for the whole slice, building no
-        combination when the reverse-edge table serves it."""
-        if self._explicit_star is not None:
-            star = self._explicit_star
-            return lambda x: star(x).terms()
+        one rank: the explicit row map when one is known, else a lookup in
+        the reverse-edge table, fetched once for the whole slice."""
+        if self._star is not None:
+            star = self._star
+            return lambda x: star(x).items()
         table = self._reverse_edges(rank)
         return lambda x: table.get(x, ())
 
     def star(self, x) -> Combination:
-        """The adjoint, through the explicit description when one is known."""
-        if self._explicit_star is not None:
-            return self._explicit_star(x)
-        return self.up_adjoint(x)
+        """The adjoint, through the explicit row map when one is known."""
+        return Combination(self.universe, self._star_rows(self.universe.degree(x))(x))
 
-    # -- linear extensions of the operators -----------------------------------
-
-    def apply_up(self, f: Combination) -> Combination:
-        return f.apply_linear(self._up)
-
-    def apply_star(self, f: Combination) -> Combination:
-        return f.apply_linear(self.star)
+    def _edges(self, top: int) -> Iterator[tuple]:
+        """(x, y, weight) for every edge out of ranks 0..top-1, slice by
+        slice, each row in canonical order."""
+        sort_key = self.universe.sort_key
+        for rank in range(top):
+            for x in self.universe.elements_of_rank(rank):
+                for y, w in sorted(self._up(x).items(), key=lambda yw: sort_key(yw[0])):
+                    yield x, y, w
 
     # -- paths and hooks ---------------------------------------------------------
 
@@ -91,7 +88,7 @@ class GradedGraph:
         for _ in range(ry - rx):
             nxt: dict = {}
             for z, c in front.items():
-                for w, weight in self._up(z).terms():
+                for w, weight in self._up(z).items():
                     nxt[w] = nxt.get(w, 0) + c * weight
             front = nxt
         return front.get(y, 0)
@@ -105,10 +102,11 @@ class GradedGraph:
         prev = {self.universe.unit: 1}
         yield prev
         for rank in range(1, d + 1):
+            star = self._star_rows(rank)
             cur: dict = {}
             for x in self.universe.elements_of_rank(rank):
                 total = 0
-                for p, w in self.star(x).terms():
+                for p, w in star(x):
                     total += w * prev.get(p, 0)
                 cur[x] = total
             yield cur
@@ -132,19 +130,16 @@ class GradedGraph:
     # -- structural checks ----------------------------------------------------------
 
     def check_graded(self, d: int):
-        for rank in range(d + 1):
-            for x in self.universe.elements_of_rank(rank):
-                for y, _ in self._up(x).terms():
-                    if self.universe.degree(y) != rank + 1:
-                        return False, (x, y)
+        degree = self.universe.degree
+        for x, y, _ in self._edges(d + 1):
+            if degree(y) != degree(x) + 1:
+                return False, (x, y)
         return True, None
 
     def check_simple(self, d: int):
-        for rank in range(d + 1):
-            for x in self.universe.elements_of_rank(rank):
-                for y, w in self._up(x).terms():
-                    if w not in (0, 1):
-                        return False, (x, y, w)
+        for x, y, w in self._edges(d + 1):
+            if w not in (0, 1):
+                return False, (x, y, w)
         return True, None
 
     def check_rooted(self, d: int):
@@ -166,24 +161,20 @@ class GradedGraph:
             for x in self.universe.elements_of_rank(rank):
                 lines.append(f'    "{render(x)}";')
             lines.append("  }")
-        for rank in range(max_rank):
-            for x in self.universe.elements_of_rank(rank):
-                for y, w in self._up(x).items():
-                    label = "" if w == 1 else f' [label="{w}"]'
-                    lines.append(f'  "{render(x)}" -> "{render(y)}"{label};')
+        for x, y, w in self._edges(max_rank):
+            label = "" if w == 1 else f' [label="{w}"]'
+            lines.append(f'  "{render(x)}" -> "{render(y)}"{label};')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def export_json(self, max_rank: int) -> dict:
         render = self.universe.render_elem
-        nodes, edges = [], []
+        nodes = []
         for rank in range(max_rank + 1):
             for x in self.universe.elements_of_rank(rank):
                 nodes.append({"id": render(x), "rank": rank})
-        for rank in range(max_rank):
-            for x in self.universe.elements_of_rank(rank):
-                for y, w in self._up(x).items():
-                    edges.append({"src": render(x), "dst": render(y), "w": w})
+        edges = [{"src": render(x), "dst": render(y), "w": w}
+                 for x, y, w in self._edges(max_rank)]
         return {"nodes": nodes, "edges": edges}
 
 
@@ -263,7 +254,7 @@ class GradedGraphPair:
         """
         mode = "check" if phi is not None else "discover"
         table: dict | None = None if phi is not None else {}
-        up = self.u.up
+        up = self.u._up
         checked = 0
         below: dict = {}  # the U rows of rank r-1, by element
         star_here = self.v._star_rows(0)
@@ -271,15 +262,15 @@ class GradedGraphPair:
             star_above = self.v._star_rows(rank + 1)
             rows: dict = {}
             for x in self.universe.elements_of_rank(rank):
-                row = up(x).terms()
+                row = up(x)
                 if rank < d:  # the rows of the top rank would never be read
                     rows[x] = row
                 acc: dict = {}
-                for y, w in row:
+                for y, w in row.items():
                     for z, c in star_above(y):
                         acc[z] = acc.get(z, 0) + w * c
                 for p, w in star_here(x):
-                    for z, c in below[p]:
+                    for z, c in below[p].items():
                         acc[z] = acc.get(z, 0) - w * c
                 checked += 1
                 coeff = acc.pop(x, 0)
@@ -309,22 +300,23 @@ class GradedGraphPair:
         for x in sample:
             checked += 1
             start = Combination.unit(self.universe, x)
+            up, star = self.u.up, self.v.star
             lhs = start
             for _ in range(n):
-                lhs = self.u.apply_up(lhs)
-            lhs = self.v.apply_star(lhs)
+                lhs = lhs.apply_linear(up)
+            lhs = lhs.apply_linear(star)
 
-            rhs = self.v.apply_star(start)
+            rhs = start.apply_linear(star)
             for _ in range(n):
-                rhs = self.u.apply_up(rhs)
+                rhs = rhs.apply_linear(up)
             for k2 in range(n):
                 k1 = n - 1 - k2
                 term = start
                 for _ in range(k2):
-                    term = self.u.apply_up(term)
+                    term = term.apply_linear(up)
                 term = term.apply_diagonal(phi)
                 for _ in range(k1):
-                    term = self.u.apply_up(term)
+                    term = term.apply_linear(up)
                 rhs = rhs + term
             if lhs != rhs:
                 failures.append((x, lhs, rhs))

@@ -1,12 +1,13 @@
 """Graded operads and the pair of graded graphs every operad induces.
 
 Each operad packages an element codec, composition, a degree, its minimal
-generators, and explicit up/twisted maps; it doubles as the universe object
-for combinations and graded graphs over its elements.  Elements are plain
-ints (the chain), syntax trees (the free operad on an alphabet,
-``TreeUniverse``) or tuples of small ints: ``WordOperad`` holds what the
-word operads (dias, comp, motz, fcat:m) share, and each keeps only its own
-generators, shift, word predicate, slices, twisted map and diagonal.
+generators, and the rows (dicts element -> weight) of its two maps,
+``up_row`` and ``v_row``; it doubles as the universe object for combinations
+and graded graphs over its elements.  Elements are plain ints (the chain),
+syntax trees (the free operad on an alphabet, ``TreeUniverse``) or tuples of
+small ints: ``WordOperad`` holds what the word operads (dias, comp, motz,
+fcat:m) share, and each keeps only its own generators, shift, word
+predicate, slices, twisted map and diagonal.
 
 The graph builders at the end of this module are the only ones.  They take
 any operad, the free ones included.
@@ -56,7 +57,7 @@ class Operad:
     unit = None
     generators: tuple = ()
     phi_pair = "uv"
-    # closed-form star maps; None derives them from reverse-edge tables
+    # closed-form star rows; None derives them from reverse-edge tables
     up_star = None
     v_star = None
 
@@ -88,6 +89,25 @@ class Operad:
         """Diagonal duality coefficient for this operad's dual pair."""
         raise NotImplementedError
 
+    # -- the rows of the two maps ------------------------------------------
+
+    def up_row(self, x) -> dict:
+        """Graft each generator at each position, with multiplicity the number
+        of (generator, position) pairs producing the same element."""
+        row: dict = {}
+        for g in self.generators:
+            for i in range(1, self.arity(x) + 1):
+                y = self.compose(x, i, g)
+                row[y] = row.get(y, 0) + 1
+        return row
+
+    def v_row(self, x) -> dict:
+        """The twisted successors of x, each with its multiplicity."""
+        row: dict = {}
+        for y in self.v_explicit(x):
+            row[y] = row.get(y, 0) + 1
+        return row
+
     # -- codec ----------------------------------------------------------------
 
     def render_elem(self, x) -> str:
@@ -105,17 +125,14 @@ class Operad:
         return (self.degree(x), self.render_elem(x))
 
     def elements_of_rank(self, d: int) -> list:
-        """Degree slice, generated by composing generators onto the slice
-        below (complete because every element is built from generators)."""
+        """Degree slice, the union of the up rows of the slice below
+        (complete because every element is built from generators)."""
         if d < 0:
             raise ValueError("degree must be >= 0")
         while len(self._degree_slices) <= d:
-            below = self._degree_slices[-1]
             grown = set()
-            for x in below:
-                for g in self.generators:
-                    for i in range(1, self.arity(x) + 1):
-                        grown.add(self.compose(x, i, g))
+            for x in self._degree_slices[-1]:
+                grown.update(self.up_row(x))
             self._degree_slices.append(sorted(grown, key=self.sort_key))
         return self._degree_slices[d]
 
@@ -319,7 +336,7 @@ class TreeUniverse(Operad):
     """The free nonsymmetric operad on an alphabet: trees graded by degree,
     composed by grafting onto the i-th leaf, generated by the corollas in
     alphabet order.  Its slices come from ``tree.enumerate_trees`` (so the
-    base slice cache is never built), and it adds both star maps in closed
+    base slice cache is never built), and it adds both star rows in closed
     form."""
 
     unit = LEAF
@@ -371,13 +388,13 @@ class TreeUniverse(Operad):
         """Diagonal coefficient making the prefix/twisted pair dual."""
         return len(self.alphabet) * nf(t)
 
-    def up_star(self, t: SyntaxTree) -> Combination:
-        """Adjoint of grafting: delete each maximal node."""
-        return Combination(self, dict.fromkeys(_deletions(t), 1))
+    def up_star(self, t: SyntaxTree) -> dict:
+        """Star row of grafting: delete each maximal node."""
+        return dict.fromkeys(_deletions(t), 1)
 
-    def v_star(self, t: SyntaxTree) -> Combination:
-        """Adjoint of the twisted map: contract each quasi-maximal node."""
-        return Combination(self, dict.fromkeys(_contractions(t), 1))
+    def v_star(self, t: SyntaxTree) -> dict:
+        """Star row of the twisted map: contract each quasi-maximal node."""
+        return dict.fromkeys(_contractions(t), 1)
 
 
 _OPERADS = {"as": AsOperad, "dias": DiasOperad, "comp": CompOperad, "motz": MotzOperad}
@@ -414,24 +431,6 @@ def degree_operad(op: Operad, x) -> int:
     if not op.contains(x):
         raise ValueError(f"{op.render_elem(x)} is not an element of {op.name}")
     return op.degree(x)
-
-
-def up_operad(op: Operad, x) -> Combination:
-    """Graft each generator at each position, with multiplicity the number
-    of (generator, position) pairs producing the same element."""
-    terms: dict = {}
-    for g in op.generators:
-        for i in range(1, op.arity(x) + 1):
-            y = op.compose(x, i, g)
-            terms[y] = terms.get(y, 0) + 1
-    return Combination(op, terms)
-
-
-def v_operad(op: Operad, x) -> Combination:
-    terms: dict = {}
-    for y in op.v_explicit(x):
-        terms[y] = terms.get(y, 0) + 1
-    return Combination(op, terms)
 
 
 # -- treelike expressions ------------------------------------------------------------
@@ -536,14 +535,12 @@ def operad_poset_leq(op: Operad, x, y) -> bool:
 @lru_cache(maxsize=None)
 def prefix_graph(op: Operad) -> GradedGraph:
     """Grafting graph of any operad, the free ones (``TreeUniverse``) included."""
-    return GradedGraph(op, up=lambda x: up_operad(op, x), up_star=op.up_star,
-                       name=f"prefix({op.name})")
+    return GradedGraph(op, op.up_row, star=op.up_star, name=f"prefix({op.name})")
 
 
 @lru_cache(maxsize=None)
 def twisted_graph(op: Operad) -> GradedGraph:
-    return GradedGraph(op, up=lambda x: v_operad(op, x), up_star=op.v_star,
-                       name=f"twisted({op.name})")
+    return GradedGraph(op, op.v_row, star=op.v_star, name=f"twisted({op.name})")
 
 
 def prefix_pair(op: Operad) -> GradedGraphPair:

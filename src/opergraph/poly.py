@@ -1,8 +1,9 @@
 """Exact formal linear combinations over a graded universe of elements.
 
-A universe is any ``Operad``: combinations use its ``render_elem``,
-``degree`` and ``sort_key``, graded graphs its ``unit`` and
-``elements_of_rank``.  Combinations over different universes refuse to mix.
+A universe is any ``Operad``, whose ``render_elem``, ``degree`` and
+``sort_key`` combinations use.  They are the public face of graded graphs,
+which pass plain rows (dicts element -> weight) and build a combination only
+to return it.  Combinations over different universes refuse to mix.
 """
 from __future__ import annotations
 
@@ -24,10 +25,6 @@ class Combination:
         pairs = terms.items() if isinstance(terms, dict) else dict(terms).items()
         self.universe = universe
         self._terms = {x: c for x, c in pairs if c}
-
-    @classmethod
-    def zero(cls, universe) -> "Combination":
-        return cls(universe)
 
     @classmethod
     def unit(cls, universe, x, c: int = 1) -> "Combination":
@@ -89,9 +86,6 @@ class Combination:
 
     def scale(self, c: int) -> "Combination":
         return Combination(self.universe, {x: c * v for x, v in self._terms.items()})
-
-    def __rmul__(self, c: int) -> "Combination":
-        return self.scale(c)
 
     # -- products ---------------------------------------------------------------
 

@@ -9,11 +9,11 @@ shadow, the nonplanar undecorated image of the difference forest.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .alphabet import Alphabet
 from .series import Series2
-from .tree import (LEAF, SyntaxTree, compose_forest, enumerate_trees, is_prefix,
-                   node)
+from .tree import LEAF, SyntaxTree, enumerate_trees, is_prefix, node
 
 Forest = tuple[SyntaxTree, ...]
 
@@ -129,7 +129,6 @@ def _prefixes(t: SyntaxTree) -> tuple[SyntaxTree, ...]:
     if t.is_leaf:
         return (LEAF,)
     acc = [LEAF]
-    from itertools import product
     for kids in product(*[_prefixes(c) for c in t.children]):
         acc.append(node(t.letter, kids))
     return tuple(acc)
@@ -146,14 +145,20 @@ def interval_count(s: SyntaxTree, t: SyntaxTree) -> int:
 
 
 def interval_elements(s: SyntaxTree, t: SyntaxTree) -> list[SyntaxTree]:
-    """Every r with s <= r <= t, through the product structure of the
-    interval: one independent prefix choice per difference-forest slot."""
-    if not poset_leq(s, t):
+    """Every r with s <= r <= t, sorted canonically."""
+    out = _interval(s, t)
+    if not out:
         raise NotComparableError(f"{s.term} is not a prefix of {t.term}")
-    from itertools import product
-    slots = [prefixes(r) for r in difference_forest(s, t)]
-    out = [compose_forest(s, choice) for choice in product(*slots)]
     return sorted(out, key=lambda r: (r.degree, r.term))
+
+
+def _interval(s: SyntaxTree, t: SyntaxTree) -> tuple[SyntaxTree, ...]:
+    """[s, t] unsorted, in one walk over both trees; empty when s is not below t."""
+    if s.is_leaf:
+        return _prefixes(t)
+    if t.is_leaf or s.letter != t.letter:
+        return ()
+    return tuple(node(s.letter, kids) for kids in product(*map(_interval, s.children, t.children)))
 
 
 def interval(s: SyntaxTree, t: SyntaxTree, mode: str = "count"):

@@ -228,7 +228,7 @@ def test_criterion_11_operad_hook_fixtures():
 def test_criterion_12_twisted_oracle_and_homogeneity():
     started = time.perf_counter()
     from opergraph.operads import (evaluate_tree, generator_alphabet,
-                                   treelike_expressions, v_operad,
+                                   treelike_expressions, twisted_graph,
                                    v_operad_oracle)
     for selector in ("comp", "motz", "fcat:1"):
         op = get_operad(selector)
@@ -239,7 +239,7 @@ def test_criterion_12_twisted_oracle_and_homogeneity():
         for d in range(4):
             for x in op.elements_of_rank(d):
                 assert treelike_expressions(op, x)
-                assert v_operad_oracle(op, x).support() == v_operad(op, x).support()
+                assert v_operad_oracle(op, x).support() == twisted_graph(op).up(x).support()
     _report(12, "treelike oracle matches the explicit twisted maps", started)
 
 

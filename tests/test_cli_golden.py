@@ -20,13 +20,21 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden" / "cli_stdout.json"
 README = HERE.parent / "README.md"
 
-# full DOT and JSON exports, the phi discovery table of an alphabet, a JSON
-# duality report on mixed arities, and the fixture table
+# full DOT and JSON exports (weighted edges and operad elements included),
+# the phi discovery table of an alphabet, JSON duality reports on mixed
+# arities and on a failing pair, operad hooks and up rows, a twisted path
+# series, and the fixture table
 EXTRA = [
     "export-dot --alphabet a:2 --graph v --max 3",
     "export-dot --alphabet a:2 --graph u --max 2 --json",
+    "export-dot --operad as --graph u --max 4",
+    "export-dot --operad motz --graph v --max 3 --json",
     "check-duality --alphabet a:2 --max 3 --discover-phi",
     "check-duality --alphabet a:2,c:3 --max 3 --json",
+    "check-duality --alphabet a:2,b:2 --pair uu --max 3 --json",
+    "operad motz hook --max 4",
+    "operad fcat:2 up --element 012",
+    "paths-series --alphabet a:2,c:3 --graph v --max 6",
     "verify-fixtures",
 ]
 

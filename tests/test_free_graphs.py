@@ -10,20 +10,20 @@ from opergraph.free_graphs import (OracleBoundError, hook_closed_form,
                                    prefix_pair, self_pair, theta_row_sums,
                                    theta_table, twisted_graph, twisted_hook,
                                    up_star_free, v_star_free)
-from opergraph.operads import TreeUniverse, up_operad, v_operad
+from opergraph.operads import TreeUniverse
 from opergraph.tree import nf
 
 
 def test_up_free_examples(a2):
-    assert up_operad(TreeUniverse(a2), LEAF) == \
+    assert prefix_graph(a2).up(LEAF) == \
         Combination.unit(TreeUniverse(a2), corolla(a2["a"]))
-    up = up_operad(TreeUniverse(a2), parse_term("a[*,*]", a2))
+    up = prefix_graph(a2).up(parse_term("a[*,*]", a2))
     assert up == Combination(TreeUniverse(a2), {
         parse_term("a[a[*,*],*]", a2): 1,
         parse_term("a[*,a[*,*]]", a2): 1,
     })
     e1c3 = Alphabet.parse("e:1,c:3")
-    assert len(up_operad(TreeUniverse(e1c3), corolla(e1c3["c"]))) == 6
+    assert len(prefix_graph(e1c3).up(corolla(e1c3["c"]))) == 6
 
 
 def test_up_star_free_examples(a2):
@@ -66,9 +66,9 @@ def test_v_star_equals_quasi_maximal_contractions(alphabet_text):
 
 
 def test_v_free_examples(a2, eac):
-    assert v_operad(TreeUniverse(eac), LEAF) == Combination.characteristic(
+    assert twisted_graph(eac).up(LEAF) == Combination.characteristic(
         TreeUniverse(eac), [corolla(letter) for letter in eac])
-    nine = v_operad(TreeUniverse(eac), parse_term("a[*,a[*,*]]", eac))
+    nine = twisted_graph(eac).up(parse_term("a[*,a[*,*]]", eac))
     assert len(nine) == 9
     assert all(c == 1 for _, c in nine.terms())
 

@@ -35,6 +35,32 @@ def test_explicit_adjoints_match_generic(a2c3):
                 assert graph.star(t) == graph.up_adjoint(t)
 
 
+# -- the one star accessor against up_adjoint ------------------------------------
+
+STAR_UNIVERSES = ([(get_operad(sel), 5) for sel in ("as", "comp", "motz", "dias",
+                                                   "fcat:1", "fcat:2", "fcat:3")]
+                  + [(operads.TreeUniverse(Alphabet.parse(text)), 4)
+                     for text in ("a:2", "a:2,c:3", "e:1,c:3")])
+
+
+@pytest.mark.parametrize("universe,d", STAR_UNIVERSES, ids=lambda v: getattr(v, "name", None))
+@pytest.mark.parametrize("build", [operads.prefix_graph, operads.twisted_graph],
+                         ids=["prefix", "twisted"])
+def test_star_rows_match_up_adjoint(build, universe, d):
+    """Hooks and star(x) from the star rows equal those from the reverse-edge
+    table, read through up_adjoint element by element."""
+    graph = build(universe)
+    expected = [{universe.unit: 1}]
+    for rank in range(1, d + 1):
+        expected.append({x: sum(w * expected[-1].get(p, 0)
+                                for p, w in graph.up_adjoint(x).items())
+                         for x in universe.elements_of_rank(rank)})
+    assert graph.hook_slices(d) == expected
+    for rank in range(d + 1):
+        for x in universe.elements_of_rank(rank):
+            assert graph.star(x) == graph.up_adjoint(x)
+
+
 def test_path_weight_sum_chain():
     graph = operads.prefix_graph(get_operad("as"))
     assert graph.path_weight_sum(1, 4) == 6  # weights 1 * 2 * 3

@@ -11,8 +11,7 @@ from opergraph.operads import (NotDiagonalError, Operad, compose_operad,
                                degree_operad, evaluate_tree, generator_alphabet,
                                get_operad, minimal_generators, operad_poset_leq,
                                prefix_graph, prefix_pair, self_pair,
-                               treelike_expressions, twisted_graph, up_operad,
-                               v_operad, v_operad_oracle)
+                               treelike_expressions, twisted_graph, v_operad_oracle)
 
 AS = get_operad("as")
 DIAS = get_operad("dias")
@@ -113,13 +112,20 @@ def test_elements_of_degree_and_arity():
         for d in range(4):
             for x in op.elements_of_rank(d):
                 assert op.degree(x) == d and op.contains(x)
+    # fcat:m is graded by length too: its slices grown by grafting are the
+    # words of one length
+    for m in range(4):
+        op = get_operad(f"fcat:{m}")
+        for d in range(5):
+            assert op.elements_of_rank(d) == sorted(op.elements_of_arity(d + 1),
+                                                    key=op.sort_key)
 
 
 def test_up_examples():
-    assert up_operad(AS, 3) == Combination(AS, {4: 3})
-    assert up_operad(DIAS, (1, 0)) == \
+    assert prefix_graph(AS).up(3) == Combination(AS, {4: 3})
+    assert prefix_graph(DIAS).up((1, 0)) == \
         Combination(DIAS, {(1, 1, 0): 3, (1, 0, 1): 1})
-    assert up_operad(FCAT1, (0, 0)) == \
+    assert prefix_graph(FCAT1).up((0, 0)) == \
         Combination(FCAT1, {(0, 0, 0): 2, (0, 0, 1): 1, (0, 1, 0): 1})
 
 
@@ -151,7 +157,7 @@ def _up_closed_form(op, u):
 @pytest.mark.parametrize("op", [DIAS, COMP, MOTZ, FCAT1, FCAT2])
 def test_up_matches_closed_form(op):
     for x in elements_up_to(op, 4):
-        assert up_operad(op, x) == _up_closed_form(op, x)
+        assert prefix_graph(op).up(x) == _up_closed_form(op, x)
 
 
 def test_comp_prefix_graph_matches_known_covers():
@@ -174,12 +180,12 @@ def test_comp_prefix_graph_matches_known_covers():
 
 
 def test_v_examples():
-    assert v_operad(AS, 4) == Combination(AS, {5: 1})
-    assert v_operad(COMP, (0, 1, 0)) == \
+    assert twisted_graph(AS).up(4) == Combination(AS, {5: 1})
+    assert twisted_graph(COMP).up((0, 1, 0)) == \
         Combination(COMP, {(0, 1, 0, 0): 1, (0, 1, 0, 1): 1})
-    assert v_operad(MOTZ, (0, 1, 0)) == Combination(MOTZ, {
+    assert twisted_graph(MOTZ).up((0, 1, 0)) == Combination(MOTZ, {
         (0, 1, 1, 0): 1, (0, 1, 2, 1, 0): 1, (0, 1, 0, 0): 1, (0, 1, 0, 1, 0): 1})
-    assert v_operad(FCAT1, (0, 1)) == Combination(FCAT1, {
+    assert twisted_graph(FCAT1).up((0, 1)) == Combination(FCAT1, {
         (0, 1, 0): 1, (0, 1, 1): 1, (0, 1, 2): 1})
 
 
@@ -265,7 +271,7 @@ def test_v_oracle_examples():
 @pytest.mark.parametrize("op", [COMP, MOTZ, FCAT1])
 def test_v_oracle_matches_explicit(op):
     for x in elements_up_to(op, 3):
-        assert v_operad_oracle(op, x).support() == v_operad(op, x).support()
+        assert v_operad_oracle(op, x).support() == twisted_graph(op).up(x).support()
 
 
 def test_phi_examples():

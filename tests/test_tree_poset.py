@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from opergraph import (LEAF, Alphabet, Letter, Series2, compose_forest,
                        corolla, enumerate_trees, fixed_point, is_prefix, node,
                        parse_term)
-from opergraph.free_graphs import up_star_free
-from opergraph.operads import TreeUniverse, up_operad
+from opergraph.free_graphs import prefix_graph, up_star_free
 from opergraph.tree_poset import (NotComparableError, Shadow, difference_forest,
                                   interval, interval_count_brute,
                                   interval_isomorphic, interval_series,
@@ -32,7 +31,7 @@ def test_poset_leq_is_reachability(a2):
         frontier = {s}
         reachable = {s}
         for _ in range(4 - s.degree):
-            frontier = {y for x in frontier for y, _ in up_operad(TreeUniverse(a2), x).terms()}
+            frontier = {y for x in frontier for y, _ in prefix_graph(a2).up(x).terms()}
             reachable |= frontier
         for t in trees:
             assert poset_leq(s, t) == (t in reachable)
@@ -193,6 +192,22 @@ def test_interval_count_equals_elements(a2):
                 assert len(elements) == interval(s, t)
                 assert len(set(elements)) == len(elements)
                 assert all(poset_leq(s, r) and poset_leq(r, t) for r in elements)
+
+
+def test_interval_elements_are_the_prefixes_above_the_lower_bound(eac):
+    trees = all_trees(eac, 3)
+    for t in trees:
+        below = prefixes(t)
+        for s in trees:
+            if poset_leq(s, t):
+                assert interval(s, t, "elements") == [r for r in below if poset_leq(s, r)]
+                continue
+            try:
+                interval(s, t, "elements")
+            except NotComparableError as error:
+                assert str(error) == f"{s.term} is not a prefix of {t.term}"
+            else:
+                raise AssertionError(f"{s.term} <= {t.term} accepted")
 
 
 def test_interval_decomposition_factorizes(eac):
