@@ -23,7 +23,7 @@ README = HERE.parent / "README.md"
 # full DOT and JSON exports (weighted edges and operad elements included),
 # the phi discovery table of an alphabet, JSON duality reports on mixed
 # arities and on a failing pair, operad hooks and up rows, a twisted path
-# series, and the fixture table
+# series, the fixture table, and the word operads' up rows and phi discovery
 EXTRA = [
     "export-dot --alphabet a:2 --graph v --max 3",
     "export-dot --alphabet a:2 --graph u --max 2 --json",
@@ -36,6 +36,14 @@ EXTRA = [
     "operad fcat:2 up --element 012",
     "paths-series --alphabet a:2,c:3 --graph v --max 6",
     "verify-fixtures",
+    "operad fcat:3 up --element 0132",
+    "operad dias up --element 101",
+    "operad comp up --element 0110",
+    "operad motz up --element 0110",
+    "operad as up --element 4",
+    "check-duality --operad comp --max 4 --discover-phi",
+    "check-duality --operad fcat:2 --max 3 --discover-phi --json",
+    "check-duality --operad as --max 5 --discover-phi",
 ]
 
 
