@@ -9,6 +9,14 @@ small ints: ``WordOperad`` holds what the word operads (dias, comp, motz,
 fcat:m) share, and each keeps only its own generators, shift, word
 predicate, slices, twisted map and diagonal.
 
+``Operad.up_row`` makes one ``compose`` per (generator, position) pair and
+stays the oracle; the chain and the word operads give their up rows
+directly (a word splices shifted generators in place of each letter).  Star
+rows come from reverse-edge tables unless an operad knows them in closed
+form: the trees both, the chain, comp and fcat:m the twisted one (a word
+comes from its prefix).  ``GradedGraph.up_adjoint`` reads the table and is
+the oracle for every closed form.
+
 The graph builders at the end of this module are the only ones.  They take
 any operad, the free ones included.
 """
@@ -183,12 +191,24 @@ class AsOperad(Operad):
     def phi(self, x):
         return 1
 
+    def up_row(self, x):
+        """Grafting the one generator at any of the x positions gives x + 1."""
+        return {x + 1: x}
+
+    def v_star(self, x):
+        """Only x - 1 steps up to x, once."""
+        return {x - 1: 1} if x > 1 else {}
+
 
 class WordOperad(Operad):
     """Operads on nonempty int words, of arity their length: composing y at i
     puts ``shift(x[i-1], y)`` in place of ``x[i-1]``; words pass ``is_word``."""
 
     unit = (0,)
+
+    def __init__(self):
+        super().__init__()
+        self._shifted: dict[int, list[tuple[int, ...]]] = {}
 
     def shift(self, pivot: int, y: tuple[int, ...]) -> tuple[int, ...]:
         raise NotImplementedError
@@ -207,6 +227,23 @@ class WordOperad(Operad):
 
     def contains(self, x):
         return isinstance(x, tuple) and len(x) >= 1 and self.is_word(x)
+
+    def up_row(self, x):
+        """``Operad.up_row`` without ``compose``: at each position, splice
+        every generator shifted by the letter it replaces between the head
+        and the tail, each taken once.  The shifted generators are cached
+        per letter value."""
+        row: dict = {}
+        shifted = self._shifted
+        for i, pivot in enumerate(x):
+            gens = shifted.get(pivot)
+            if gens is None:
+                gens = shifted[pivot] = [self.shift(pivot, g) for g in self.generators]
+            head, tail = x[:i], x[i + 1:]
+            for g in gens:
+                y = head + g + tail
+                row[y] = row.get(y, 0) + 1
+        return row
 
 
 def _words(n: int, nexts) -> list[tuple[int, ...]]:
@@ -262,6 +299,10 @@ class CompOperad(WordOperad):
 
     def v_explicit(self, x):
         return [x + (0,), x + (1,)]
+
+    def v_star(self, y):
+        """A word of length >= 2 comes only from its own prefix."""
+        return {y[:-1]: 1} if len(y) > 1 else {}
 
     def phi(self, x):
         return 2
@@ -328,6 +369,8 @@ class FCatOperad(WordOperad):
     def v_explicit(self, x):
         return [x + (a,) for a in range(x[-1] + self.m + 1)]
 
+    v_star = CompOperad.v_star
+
     def phi(self, x):
         return self.m + 1
 
@@ -347,6 +390,13 @@ class TreeUniverse(Operad):
     @cached_property
     def name(self) -> str:
         return self.alphabet.render()
+
+    # on the alphabet, so that a graph-cache lookup never renders ``name``
+    def __eq__(self, other):
+        return type(other) is type(self) and self.alphabet == other.alphabet
+
+    def __hash__(self):
+        return hash((type(self), self.alphabet))
 
     @cached_property
     def generators(self) -> tuple[SyntaxTree, ...]:

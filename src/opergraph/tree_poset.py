@@ -10,12 +10,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import attrgetter
 
 from .alphabet import Alphabet
 from .series import Series2
 from .tree import LEAF, SyntaxTree, enumerate_trees, is_prefix, node
 
 Forest = tuple[SyntaxTree, ...]
+
+_degree = attrgetter("degree")
 
 
 class NotComparableError(ValueError):
@@ -119,13 +122,16 @@ def load(s: Shadow) -> int:
 # -- intervals ----------------------------------------------------------------------
 
 def prefixes(t: SyntaxTree) -> list[SyntaxTree]:
-    """All prefixes of t, sorted canonically."""
-    out = _prefixes(t)
-    return sorted(out, key=lambda r: (r.degree, r.term))
+    """All prefixes of t, sorted canonically (by degree, then term)."""
+    return sorted(_prefixes(t), key=_degree)
 
 
 @lru_cache(maxsize=None)
 def _prefixes(t: SyntaxTree) -> tuple[SyntaxTree, ...]:
+    """The prefixes of t in term order: the leaf, then t's letter over the
+    product of the children's lists.  Terms are prefix-free and ``*`` sorts
+    before every letter name, so the product's lexicographic order is term
+    order, and a stable sort by degree alone gives the canonical order."""
     if t.is_leaf:
         return (LEAF,)
     acc = [LEAF]
@@ -145,15 +151,17 @@ def interval_count(s: SyntaxTree, t: SyntaxTree) -> int:
 
 
 def interval_elements(s: SyntaxTree, t: SyntaxTree) -> list[SyntaxTree]:
-    """Every r with s <= r <= t, sorted canonically."""
+    """Every r with s <= r <= t, sorted canonically (by degree, then term)."""
     out = _interval(s, t)
     if not out:
         raise NotComparableError(f"{s.term} is not a prefix of {t.term}")
-    return sorted(out, key=lambda r: (r.degree, r.term))
+    return sorted(out, key=_degree)
 
 
 def _interval(s: SyntaxTree, t: SyntaxTree) -> tuple[SyntaxTree, ...]:
-    """[s, t] unsorted, in one walk over both trees; empty when s is not below t."""
+    """[s, t] in term order, in one walk over both trees; empty when s is not
+    below t.  As in ``_prefixes``, every element shares s's root letter, so
+    the product over the children's intervals comes out in term order."""
     if s.is_leaf:
         return _prefixes(t)
     if t.is_leaf or s.letter != t.letter:

@@ -194,6 +194,39 @@ def test_interval_series_scales_to_order_60():
     assert terms[:8] == pinned["terms"]
 
 
+PEAK_RSS_CHILD = """
+import resource, sys
+from opergraph.cli import main
+code = main(sys.argv[1:])
+try:  # the high-water mark of this address space alone
+    with open("/proc/self/status") as status:
+        peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak //= 1024 if sys.platform == "darwin" else 1
+print(peak, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_fcat3_check_to_rank_6_stays_small():
+    """The fcat:3 star rows are closed-form, so the rank-6 reverse-edge table
+    (53,820 words) is never built: the whole check peaks under 100 MB.
+
+    The child reads its peak from VmHWM where it can: on Linux ru_maxrss
+    keeps the high-water mark of the process that spawned it across exec,
+    which here is the whole test run."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD,
+                           "check-duality", "--operad", "fcat:3", "--max", "6"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ok: ")
+    peak_kib = int(proc.stderr.split()[-1])
+    assert peak_kib < 100 * 1024
+
+
 def test_check_duality_empty_alphabet(capsys):
     code, out = run(capsys, "check-duality", "--alphabet", "", "--max", "2")
     assert code == 0

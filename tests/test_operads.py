@@ -7,10 +7,12 @@ import pytest
 from opergraph import (LEAF, Alphabet, Combination, TreeUniverse, enumerate_trees,
                        is_prefix, parse_term)
 from opergraph.free_graphs import OracleBoundError
-from opergraph.operads import (NotDiagonalError, Operad, compose_operad,
-                               degree_operad, evaluate_tree, generator_alphabet,
-                               get_operad, minimal_generators, operad_poset_leq,
-                               prefix_graph, prefix_pair, self_pair,
+from opergraph import free_graphs
+from opergraph.graded_graph import GradedGraphPair
+from opergraph.operads import (AsOperad, CompOperad, FCatOperad, NotDiagonalError, Operad,
+                               WordOperad, compose_operad, degree_operad, evaluate_tree,
+                               generator_alphabet, get_operad, minimal_generators,
+                               operad_poset_leq, prefix_graph, prefix_pair, self_pair,
                                treelike_expressions, twisted_graph, v_operad_oracle)
 
 AS = get_operad("as")
@@ -158,6 +160,31 @@ def _up_closed_form(op, u):
 def test_up_matches_closed_form(op):
     for x in elements_up_to(op, 4):
         assert prefix_graph(op).up(x) == _up_closed_form(op, x)
+
+
+@pytest.mark.parametrize("selector", ["as", "dias", "comp", "motz",
+                                      "fcat:0", "fcat:1", "fcat:2", "fcat:3"])
+def test_up_row_matches_the_generic_graft_loop(selector):
+    """The direct up rows equal the base class's one compose per
+    (generator, position) pair, as dicts."""
+    op = get_operad(selector)
+    for x in elements_up_to(op, 5):
+        assert op.up_row(x) == Operad.up_row(op, x), x
+
+
+def test_direct_rows_never_compose(monkeypatch):
+    """The (U,V) checks of the operads with direct up rows and closed-form
+    star rows run without compose and never build a reverse-edge table."""
+    def refuse(*args):
+        raise AssertionError("compose called")
+
+    monkeypatch.setattr(WordOperad, "compose", refuse)
+    monkeypatch.setattr(AsOperad, "compose", refuse)
+    for op in [AsOperad(), CompOperad()] + [FCatOperad(m) for m in (1, 2, 3)]:
+        # fresh graphs: the cached builders may hold slices grown before
+        pair = GradedGraphPair(prefix_graph.__wrapped__(op), twisted_graph.__wrapped__(op))
+        assert pair.check_phi_diagonal(op.phi, 4).ok, op
+        assert pair.v._reverse == {}, op
 
 
 def test_comp_prefix_graph_matches_known_covers():
@@ -398,3 +425,17 @@ def test_trees_are_an_operad_with_one_name_per_concept():
     assert same is not free and same == free and hash(same) == hash(free)
     assert free != TreeUniverse(Alphabet.parse("a:2,b:2"))
     assert TreeUniverse(Alphabet.parse("fcat:1")) != get_operad("fcat:1")
+
+
+def test_free_graph_lookup_compares_alphabets_without_rendering():
+    """Universes are equal and hash equal on equal alphabets, so a fresh
+    universe finds the cached graph without rendering its name."""
+    a2c3 = Alphabet.parse("a:2,c:3")
+    same = Alphabet.parse(a2c3.render())
+    assert same is not a2c3
+    assert TreeUniverse(a2c3) == TreeUniverse(same)
+    assert hash(TreeUniverse(a2c3)) == hash(TreeUniverse(same))
+    assert free_graphs.prefix_graph(a2c3) is free_graphs.prefix_graph(same)
+    fresh = TreeUniverse(Alphabet.parse("a:2,c:3"))
+    assert prefix_graph(fresh) is free_graphs.prefix_graph(a2c3)
+    assert "name" not in fresh.__dict__

@@ -210,6 +210,38 @@ def test_interval_elements_are_the_prefixes_above_the_lower_bound(eac):
                 raise AssertionError(f"{s.term} <= {t.term} accepted")
 
 
+def _canonical(trees):
+    """The canonical order, spelled out: degree, then term."""
+    return sorted(trees, key=lambda r: (r.degree, r.term))
+
+
+def _check_term_order_by_construction(trees):
+    for t in trees:
+        below = prefixes(t)
+        assert below == _canonical(below)
+        for s in below:
+            inside = interval(s, t, "elements")
+            assert inside == _canonical(inside)
+
+
+def test_intervals_come_out_in_canonical_order(eac):
+    """prefixes and interval_elements sort by degree alone; the term order
+    within a degree comes from how the lists are built.  Every comparable
+    pair of trees to degree 4 (the lower bounds of t are its prefixes)."""
+    _check_term_order_by_construction(all_trees(eac, 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["a", "a0", "a_", "ab", "a9", "b", "b0", "b_c"]),
+                          st.integers(1, 3)),
+                min_size=1, max_size=3, unique_by=lambda letter: letter[0]))
+def test_interval_order_holds_for_names_sharing_prefixes(letters):
+    """Names that are prefixes of one another (a, a0, a_, ab) still leave
+    term order to the construction."""
+    alphabet = Alphabet(Letter(name, arity) for name, arity in letters)
+    _check_term_order_by_construction(all_trees(alphabet, 3))
+
+
 def test_interval_decomposition_factorizes(eac):
     s = parse_term("c[a[*,a[*,*]],*,*]", eac)
     t = parse_term("c[a[c[*,*,*],a[*,e[*]]],*,a[c[*,*,*],e[*]]]", eac)
