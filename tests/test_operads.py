@@ -5,9 +5,8 @@ from itertools import product
 import pytest
 
 from opergraph import (LEAF, Alphabet, Combination, TreeUniverse, enumerate_trees,
-                       is_prefix, parse_term)
+                       free_graphs, is_prefix, parse_term)
 from opergraph.free_graphs import OracleBoundError
-from opergraph import free_graphs
 from opergraph.graded_graph import GradedGraphPair
 from opergraph.operads import (AsOperad, CompOperad, FCatOperad, NotDiagonalError, Operad,
                                WordOperad, compose_operad, degree_operad, evaluate_tree,
