@@ -23,7 +23,8 @@ README = HERE.parent / "README.md"
 # full DOT and JSON exports (weighted edges and operad elements included),
 # the phi discovery table of an alphabet, JSON duality reports on mixed
 # arities and on a failing pair, operad hooks and up rows, a twisted path
-# series, the fixture table, and the word operads' up rows and phi discovery
+# series, the fixture table, the word operads' up rows and phi discovery, an
+# interval count, and a meet and a join of terms written with spaces
 EXTRA = [
     "export-dot --alphabet a:2 --graph v --max 3",
     "export-dot --alphabet a:2 --graph u --max 2 --json",
@@ -44,6 +45,12 @@ EXTRA = [
     "check-duality --operad comp --max 4 --discover-phi",
     "check-duality --operad fcat:2 --max 3 --discover-phi --json",
     "check-duality --operad as --max 5 --discover-phi",
+    "poset interval --alphabet e:1,a:2,c:3 --lower 'a[*,c[*,*,*]]' "
+    "--upper 'a[e[a[*,*]],c[a[*,*],e[*],*]]'",
+    "poset meet --alphabet e:1,a:2,c:3 --left ' c[ a[*, *], * , a[e[*],*] ] ' "
+    "--right 'c[e[ * ],a[*,*] , a[*,*]]'",
+    "poset join --alphabet e:1,a:2,c:3 --left 'a[ *, c[*, *, *] ]' "
+    "--right 'a [e[*], c[ *,e[ a[*,*] ] , * ] ]'",
 ]
 
 
