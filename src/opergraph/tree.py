@@ -45,8 +45,11 @@ class SyntaxTree:
     __slots__ = ("letter", "children", "degree", "arity", "is_leaf", "_term",
                  "_deletions", "_contractions")
 
-    def __init__(self, letter: Letter | None, children: tuple["SyntaxTree", ...],
-                 degree: int, arity: int):
+    def __init__(self, letter: Letter | None, children: tuple["SyntaxTree", ...]):
+        degree, arity = 1, 0
+        for c in children:
+            degree += c.degree
+            arity += c.arity
         self.letter = letter
         self.children = children
         self.degree = degree
@@ -103,7 +106,8 @@ def _render(t: SyntaxTree) -> str:
 # one table per letter name, keyed by the tuple of (interned) children
 _INTERN: defaultdict[str, dict[tuple[SyntaxTree, ...], SyntaxTree]] = defaultdict(dict)
 
-LEAF = SyntaxTree(None, (), 0, 1)
+LEAF = SyntaxTree(None, ())
+LEAF.degree, LEAF.arity = 0, 1  # the only tree with no internal node
 LEAF._term = "*"
 LEAF._deletions = LEAF._contractions = ()
 
@@ -117,12 +121,23 @@ def node(letter: Letter, children) -> SyntaxTree:
     table = _INTERN[letter.name]
     tree = table.get(children)
     if tree is None:
-        degree, arity = 1, 0
-        for c in children:
-            degree += c.degree
-            arity += c.arity
-        tree = table[children] = SyntaxTree(letter, children, degree, arity)
+        tree = table[children] = SyntaxTree(letter, children)
     return tree
+
+
+def _nodes(letter: Letter, kid_tuples) -> list[SyntaxTree]:
+    """``node(letter, kids)`` for each tuple of children, in order, with the
+    letter's intern table fetched once.  The tuples must have the letter's
+    arity; nothing checks it."""
+    table = _INTERN[letter.name]
+    get = table.get
+    out = []
+    for kids in kid_tuples:
+        tree = get(kids)
+        if tree is None:
+            tree = table[kids] = SyntaxTree(letter, kids)
+        out.append(tree)
+    return out
 
 
 def corolla(letter: Letter) -> SyntaxTree:
@@ -132,54 +147,66 @@ def corolla(letter: Letter) -> SyntaxTree:
 # -- text codec --------------------------------------------------------------
 
 def parse_term(text: str, alphabet: Alphabet) -> SyntaxTree:
+    """The tree a term denotes.  One loop over the text with an explicit
+    stack of open nodes (letter, start offset, children so far), so a term
+    of any depth parses.  Whitespace may stand before any term and before
+    each ``[``, ``,`` and ``]``; errors are ``ParseError``s."""
+    n = len(text)
     pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
+    stack: list[tuple[Letter, int, list[SyntaxTree]]] = []
+    while True:
+        # a term starts here: '*' or a letter name and its '['
+        while pos < n and text[pos].isspace():
             pos += 1
-
-    def parse() -> SyntaxTree:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text):
+        if pos >= n:
             raise ParseError("unexpected end of input", pos)
         if text[pos] == "*":
             pos += 1
-            return LEAF
-        start = pos
-        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
+            tree = LEAF
+        else:
+            start = pos
+            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+            name = text[start:pos]
+            if not name:
+                raise ParseError(f"expected '*' or a letter, found {text[pos]!r}", pos)
+            letter = alphabet.get(name)
+            if letter is None:
+                raise ParseError(f"unknown letter {name!r}", start)
+            while pos < n and text[pos].isspace():
+                pos += 1
+            if pos >= n or text[pos] != "[":
+                raise ParseError(f"expected '[' after letter {name!r}", pos)
             pos += 1
-        name = text[start:pos]
-        if not name:
-            raise ParseError(f"expected '*' or a letter, found {text[pos]!r}", pos)
-        letter = alphabet.get(name)
-        if letter is None:
-            raise ParseError(f"unknown letter {name!r}", start)
-        skip_ws()
-        if pos >= len(text) or text[pos] != "[":
-            raise ParseError(f"expected '[' after letter {name!r}", pos)
-        pos += 1
-        children = [parse()]
-        skip_ws()
-        while pos < len(text) and text[pos] == ",":
+            stack.append((letter, start, []))
+            continue
+        # a term ended: hand it to its parent, closing every node that ends
+        while stack:
+            letter, start, children = stack[-1]
+            children.append(tree)
+            while pos < n and text[pos].isspace():
+                pos += 1
+            if pos < n and text[pos] == ",":
+                pos += 1
+                break
+            if pos >= n or text[pos] != "]":
+                raise ParseError("expected ',' or ']'", pos)
             pos += 1
-            children.append(parse())
-            skip_ws()
-        if pos >= len(text) or text[pos] != "]":
-            raise ParseError("expected ',' or ']'", pos)
-        pos += 1
-        if len(children) != letter.arity:
-            raise ParseError(
-                f"letter {name!r} has arity {letter.arity}, got {len(children)} children",
-                start)
-        return node(letter, children)
-
-    result = parse()
-    skip_ws()
-    if pos != len(text):
-        raise ParseError(f"trailing input {text[pos:]!r}", pos)
-    return result
+            if len(children) != letter.arity:
+                raise ParseError(f"letter {letter.name!r} has arity {letter.arity}, "
+                                 f"got {len(children)} children", start)
+            stack.pop()
+            kids = tuple(children)
+            table = _INTERN[letter.name]
+            tree = table.get(kids)
+            if tree is None:
+                tree = table[kids] = SyntaxTree(letter, kids)
+        else:
+            while pos < n and text[pos].isspace():
+                pos += 1
+            if pos != n:
+                raise ParseError(f"trailing input {text[pos:]!r}", pos)
+            return tree
 
 
 def tree_to_json(t: SyntaxTree):

@@ -322,14 +322,27 @@ def test_deep_hooks_do_not_recurse(capsys, command):
 DEEP = "e[" * 2000 + "*" + "]" * 2000
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["poset", "meet", "--alphabet", "e:1", "--left", DEEP, "--right", "*"], "*\n"),
+    (["poset", "join", "--alphabet", "e:1", "--left", DEEP, "--right", "*"], DEEP + "\n"),
+], ids=["meet", "join"])
+def test_deep_terms_parse(capsys, argv, out):
+    """The parser is one loop over the text, so a term past the recursion
+    limit parses; meet and join against the leaf end at the root."""
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, "")
+
+
 @pytest.mark.parametrize("argv", [
-    ["poset", "meet", "--alphabet", "e:1", "--left", DEEP, "--right", "*"],
-    ["poset", "join", "--alphabet", "e:1", "--left", DEEP, "--right", "*"],
+    ["poset", "meet", "--alphabet", "e:1", "--left", DEEP, "--right", DEEP],
+    ["poset", "join", "--alphabet", "e:1", "--left", DEEP, "--right", DEEP],
     ["poset", "interval", "--alphabet", "e:1", "--lower", "*", "--upper", DEEP],
 ], ids=lambda argv: argv[1])
 def test_deep_terms_are_usage_errors(capsys, argv):
-    """Parsing and the prefix-order walks still recurse once per level; a
-    term past the recursion limit is a one-line usage error."""
+    """The prefix-order walks (meet, join and the interval count) still
+    recurse once per level; a pair that walks past the recursion limit is a
+    one-line usage error."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -273,6 +273,123 @@ def test_trees_are_interned_by_letter_and_children(a2c3):
         node(Letter("c", 2), t.children)
 
 
+def _parse_term_recursive(text, alphabet):
+    """The recursive-descent parser ``parse_term`` replaced: the reference
+    for its trees, its error messages and their positions."""
+    pos = 0
+
+    def skip_ws():
+        nonlocal pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+
+    def parse():
+        nonlocal pos
+        skip_ws()
+        if pos >= len(text):
+            raise ParseError("unexpected end of input", pos)
+        if text[pos] == "*":
+            pos += 1
+            return LEAF
+        start = pos
+        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
+            pos += 1
+        name = text[start:pos]
+        if not name:
+            raise ParseError(f"expected '*' or a letter, found {text[pos]!r}", pos)
+        letter = alphabet.get(name)
+        if letter is None:
+            raise ParseError(f"unknown letter {name!r}", start)
+        skip_ws()
+        if pos >= len(text) or text[pos] != "[":
+            raise ParseError(f"expected '[' after letter {name!r}", pos)
+        pos += 1
+        children = [parse()]
+        skip_ws()
+        while pos < len(text) and text[pos] == ",":
+            pos += 1
+            children.append(parse())
+            skip_ws()
+        if pos >= len(text) or text[pos] != "]":
+            raise ParseError("expected ',' or ']'", pos)
+        pos += 1
+        if len(children) != letter.arity:
+            raise ParseError(
+                f"letter {name!r} has arity {letter.arity}, got {len(children)} children",
+                start)
+        return node(letter, children)
+
+    result = parse()
+    skip_ws()
+    if pos != len(text):
+        raise ParseError(f"trailing input {text[pos:]!r}", pos)
+    return result
+
+
+# names that share prefixes or carry '_' and digits
+SOUP_ALPHABET = Alphabet.parse("e:1,a:2,c:3,ab:2,a_1:1")
+SOUP_TOKENS = ["a", "c", "e", "ab", "a_1", "*", "[", "]", ",", " ", "\x1c", "\t", "é", "_",
+               "1", "x", "a[", "c[", "e[", "*,", "*]"]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, SOUP_ALPHABET)
+    except ParseError as error:
+        return str(error), error.position
+
+
+def _assert_parses_like_the_reference(text):
+    want, got = _outcome(_parse_term_recursive, text), _outcome(parse_term, text)
+    if isinstance(want, SyntaxTree):
+        assert got is want
+    else:
+        assert got == want
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(SOUP_TOKENS), max_size=30).map("".join))
+def test_parser_matches_the_recursive_reference_on_token_soup(text):
+    _assert_parses_like_the_reference(text)
+
+
+terms = st.recursive(
+    st.just(["*"]),
+    lambda kids: st.sampled_from(SOUP_ALPHABET.letters).flatmap(
+        lambda letter: st.lists(kids, min_size=letter.arity, max_size=letter.arity).map(
+            lambda children: [letter.name, "["] + [
+                token for i, child in enumerate(children)
+                for token in ([","] if i else []) + child] + ["]"])),
+    max_leaves=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(terms,
+       st.lists(st.tuples(st.integers(0, 60), st.sampled_from([" ", "\x1c", "\t"])),
+                max_size=6),
+       st.lists(st.tuples(st.integers(0, 60), st.sampled_from(SOUP_TOKENS + [""])),
+                max_size=2))
+def test_parser_matches_the_recursive_reference_on_edited_terms(tokens, spaces, edits):
+    """Well-formed terms, with whitespace between tokens (still well formed)
+    and up to two tokens replaced by soup or dropped (mostly malformed, and
+    failing late in the text)."""
+    tokens = list(tokens)
+    for i, space in spaces:
+        tokens.insert(i % (len(tokens) + 1), space)
+    for i, token in edits:
+        tokens[i % len(tokens)] = token
+    _assert_parses_like_the_reference("".join(tokens))
+
+
+def test_a_term_of_any_depth_parses():
+    """One loop over the text with an explicit stack: 100,000 levels."""
+    alphabet = Alphabet.parse("e:1")
+    text = "e[" * 100_000 + "*" + "]" * 100_000
+    t = parse_term(text, alphabet)
+    assert t.degree == 100_000
+    assert parse_term(t.term, alphabet) is t
+
+
 def test_deep_trees_render_without_recursion():
     e = Letter("e", 1)
     t = LEAF

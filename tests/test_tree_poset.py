@@ -9,7 +9,8 @@ from opergraph import (LEAF, Alphabet, Letter, Series2, compose_forest,
                        parse_term)
 from opergraph.free_graphs import prefix_graph, up_star_free
 from opergraph.tree_poset import (NotComparableError, Shadow, difference_forest,
-                                  interval, interval_count_brute,
+                                  interval, interval_count, interval_count_brute,
+                                  interval_elements,
                                   interval_isomorphic, interval_series,
                                   interval_shadow, is_stringy, join, load,
                                   meet, poset_leq, prefixes, shadow,
@@ -192,6 +193,65 @@ def test_interval_count_equals_elements(a2):
                 assert len(elements) == interval(s, t)
                 assert len(set(elements)) == len(elements)
                 assert all(poset_leq(s, r) and poset_leq(r, t) for r in elements)
+
+
+def _shadow_count(s, t):
+    """The count through the difference shadow, or the error it raises."""
+    try:
+        return load(interval_shadow(s, t))
+    except NotComparableError as error:
+        return str(error)
+
+
+def _walk_count(s, t):
+    try:
+        return interval_count(s, t)
+    except NotComparableError as error:
+        return str(error)
+
+
+def test_interval_count_matches_the_shadow_load(eac):
+    """Every ordered pair of trees to degree 3 (27,556 pairs): the one-walk
+    count against the load of the difference shadow, errors included."""
+    trees = all_trees(eac, 3)
+    assert len(trees) ** 2 == 27_556
+    for t in trees:
+        for s in trees:
+            assert _walk_count(s, t) == _shadow_count(s, t)
+
+
+def _random_tree(alphabet, degree, rng):
+    """A random tree of the given degree: a random root letter over a
+    uniform composition of degree - 1 into its arity."""
+    if degree == 0:
+        return LEAF
+    letter = rng.choice(alphabet.letters)
+    slots = degree - 1 + letter.arity - 1
+    cuts = [-1] + sorted(rng.sample(range(slots), letter.arity - 1)) + [slots]
+    return node(letter, [_random_tree(alphabet, cuts[k + 1] - cuts[k] - 1, rng)
+                         for k in range(letter.arity)])
+
+
+def _random_prefix(t, rng, keep):
+    if t.is_leaf or rng.random() > keep:
+        return LEAF
+    return node(t.letter, [_random_prefix(c, rng, keep) for c in t.children])
+
+
+def test_interval_count_is_the_number_of_elements(eac):
+    """Seeded comparable pairs to degree 14, enumerated whenever the count
+    is at most 256."""
+    rng = random.Random(29)
+    enumerated = 0
+    for _ in range(600):
+        t = _random_tree(eac, rng.randint(0, 14), rng)
+        s = _random_prefix(t, rng, rng.random())
+        count = interval_count(s, t)
+        assert count == _shadow_count(s, t)
+        if count <= 256:
+            assert count == len(interval_elements(s, t))
+            enumerated += 1
+    assert enumerated >= 300
 
 
 def test_interval_elements_are_the_prefixes_above_the_lower_bound(eac):
