@@ -291,16 +291,17 @@ HASH_ORDER_CASES = [case for case in GOLDEN if case["argv"][:2] in (
 @pytest.mark.parametrize("case", HASH_ORDER_CASES, ids=lambda case: " ".join(case["argv"]))
 def test_stdout_does_not_depend_on_the_hash_seed(case):
     """Trees hash by identity, so a set iterated on the way to stdout would
-    show up here as output that changes between processes."""
+    show up here as output that changes between processes.  Failing checks
+    (exit 1) are compared too: their witness is printed on stdout."""
     outputs = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
                                                             os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "opergraph.cli", *case["argv"]],
-                              capture_output=True, text=True, env=env, check=True)
-        outputs.append(proc.stdout)
-    assert outputs == [case["stdout"]] * 2
+                              capture_output=True, text=True, env=env)
+        outputs.append((proc.returncode, proc.stdout))
+    assert outputs == [(case["code"], case["stdout"])] * 2
 
 
 def test_deep_duality_check_does_not_recurse(capsys):

@@ -24,7 +24,9 @@ README = HERE.parent / "README.md"
 # the phi discovery table of an alphabet, JSON duality reports on mixed
 # arities and on a failing pair, operad hooks and up rows, a twisted path
 # series, the fixture table, the word operads' up rows and phi discovery, an
-# interval count, and a meet and a join of terms written with spaces
+# interval count, a meet and a join of terms written with spaces, and the
+# hooks and duality checks that read star rows from reverse-edge tables
+# (motz and dias twisted, and the two self pairs that fail)
 EXTRA = [
     "export-dot --alphabet a:2 --graph v --max 3",
     "export-dot --alphabet a:2 --graph u --max 2 --json",
@@ -51,6 +53,12 @@ EXTRA = [
     "--right 'c[e[ * ],a[*,*] , a[*,*]]'",
     "poset join --alphabet e:1,a:2,c:3 --left 'a[ *, c[*, *, *] ]' "
     "--right 'a [e[*], c[ *,e[ a[*,*] ] , * ] ]'",
+    "operad as hook --max 5",
+    "operad dias hook --max 4",
+    "check-duality --operad motz --max 4 --discover-phi --json",
+    "check-duality --operad dias --pair uu --max 5 --discover-phi",
+    "check-duality --operad motz --pair uu --max 4 --discover-phi",
+    "check-duality --operad comp --pair uu --max 4 --discover-phi",
 ]
 
 
