@@ -1,12 +1,13 @@
 """Command-line surface and bundled verification fixtures.
 
-Exit codes: 0 success, 1 verification failure (with a witness), 2 usage
-errors.  ``--json`` switches any subcommand to machine-readable output.
+Exit codes: 0 success, 1 a failed verification (with a witness) or a closed
+stdout, 2 usage errors.  ``--json`` gives any subcommand machine output.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from importlib import resources
@@ -444,16 +445,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # the tree walks that still recurse reach here on very deep terms
-        print("error: the input nests too deeply", file=sys.stderr)
-        return 2
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except (ValueError, IndexError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except RecursionError:
+            # the tree walks that still recurse reach here on very deep terms
+            print("error: the input nests too deeply", file=sys.stderr)
+            return 2
+        finally:
+            sys.stdout.flush()  # a closed stdout shows here, --help included
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

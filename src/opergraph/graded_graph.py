@@ -1,14 +1,15 @@
 """Graded graphs: rank-indexed universes with an "up" operator.
 
-A graph is specified by its universe (an operad: rank slices, unit), a row
-map ``up`` sending each element to a plain dict successor -> weight one rank
-higher, and optionally an explicit ``star`` row map for the adjoint.
-Adjoints, path counting, hooks, exports and the duality check all walk rows;
-``_star_rows`` is the one star accessor, and a ``Combination`` is built only
-where a public method returns one.  The diagonal duality check runs one rank
-slice at a time, with ``GradedGraphPair.duality_commutator`` as its
-independent oracle.  The prefix and twisted graphs of every operad, trees
-included, are built by the builders in ``operads``.
+A graph is its universe (an operad: rank slices, unit), a row map ``up``
+sending each element to a plain dict successor -> weight one rank higher,
+and one star map for the adjoint, fixed when the graph is built: the
+operad's closed form where it has one, else ``_table_row``, which reads a
+lazily filled reverse-edge table and, through ``up_adjoint``, is the oracle
+for every closed form.  Paths, hooks, exports and the duality check walk
+rows, and a ``Combination`` is built only where a public method returns
+one.  The diagonal duality check runs one rank slice at a time, with
+``GradedGraphPair.duality_commutator`` as its independent oracle.  The
+graphs of every operad, trees included, come from the builders in ``operads``.
 """
 from __future__ import annotations
 
@@ -20,52 +21,42 @@ from .series import Series2
 
 
 class GradedGraph:
+    """The star map ``_star`` sends x to the (element, weight) pairs of the
+    adjoint row, each element once with a positive int weight.  A star row
+    is read once: a closed form may return an iterator."""
+
     def __init__(self, universe, up: Callable, *, name: str, star: Callable | None = None):
         self.universe = universe
         self.name = name
         self._up = up
-        self._star = star
-        self._reverse: dict[int, dict] = {}
+        self._reverse: dict = {}
+        self._reverse_ranks: set[int] = set()
+        self._star = star or self._table_row
 
     # -- the two operators ---------------------------------------------------
 
     def up(self, x) -> Combination:
         return Combination(self.universe, self._up(x))
 
-    def _reverse_edges(self, rank: int) -> dict:
-        """Predecessor table for elements of the given rank, built once from
-        the full rank-1 slice (empty at rank 0).  Its rows are lists of
-        (element, weight) pairs: most have one entry, which a list holds in
-        less memory than a dict."""
-        cached = self._reverse.get(rank)
-        if cached is not None:
-            return cached
-        table: dict = {}
-        if rank >= 1:
-            for x in self.universe.elements_of_rank(rank - 1):
-                for y, w in self._up(x).items():
-                    table.setdefault(y, []).append((x, w))
-        self._reverse[rank] = table
-        return table
+    def _table_row(self, x) -> Iterable[tuple]:
+        """x's predecessors with their weights, from one reverse-edge table
+        that gains a whole rank, from the full slice below, the first time an
+        element of that rank is asked for.  Its rows are lists of pairs: most
+        have one entry, which a list holds in less memory than a dict."""
+        if x not in self._reverse and (rank := self.universe.degree(x)) not in self._reverse_ranks:
+            self._reverse_ranks.add(rank)
+            for p in self.universe.elements_of_rank(rank - 1) if rank else ():
+                for y, w in self._up(p).items():
+                    self._reverse.setdefault(y, []).append((p, w))
+        return self._reverse.get(x, ())
 
     def up_adjoint(self, x) -> Combination:
-        """Adjoint of up, from the reverse-edge table of x's rank."""
-        table = self._reverse_edges(self.universe.degree(x))
-        return Combination(self.universe, table.get(x, ()))
-
-    def _star_rows(self, rank: int) -> Callable:
-        """x -> the (element, weight) pairs of star(x), for the elements x of
-        one rank: the explicit row map when one is known, else a lookup in
-        the reverse-edge table, fetched once for the whole slice."""
-        if self._star is not None:
-            star = self._star
-            return lambda x: star(x).items()
-        table = self._reverse_edges(rank)
-        return lambda x: table.get(x, ())
+        """Adjoint of up, from the reverse-edge table: the star-map oracle."""
+        return Combination(self.universe, self._table_row(x))
 
     def star(self, x) -> Combination:
-        """The adjoint, through the explicit row map when one is known."""
-        return Combination(self.universe, self._star_rows(self.universe.degree(x))(x))
+        """The adjoint, through the graph's star map."""
+        return Combination(self.universe, self._star(x))
 
     def _edges(self, top: int) -> Iterator[tuple]:
         """(x, y, weight) for every edge out of ranks 0..top-1, slice by
@@ -99,10 +90,10 @@ class GradedGraph:
         The recursion h(unit) = 1, h(x) = <star(x), h> walks each rank slice
         once and only ever needs the previous slice.
         """
+        star = self._star
         prev = {self.universe.unit: 1}
         yield prev
         for rank in range(1, d + 1):
-            star = self._star_rows(rank)
             cur: dict = {}
             for x in self.universe.elements_of_rank(rank):
                 total = 0
@@ -247,19 +238,17 @@ class GradedGraphPair:
 
         The check runs one rank slice at a time.  For x of rank r it sums
         V*U(x) - UV*(x) into one plain dict, from the U row of x, the star
-        lookups of ranks r and r+1 and the U rows of rank r-1, each computed
+        rows of ranks r and r+1 and the U rows of rank r-1, each computed
         once (the rows of rank r-1 are dropped when rank r is done); a
         ``Combination`` is built only for a failure.  ``duality_commutator``
         is its independent oracle.
         """
         mode = "check" if phi is not None else "discover"
         table: dict | None = None if phi is not None else {}
-        up = self.u._up
+        up, star = self.u._up, self.v._star
         checked = 0
         below: dict = {}  # the U rows of rank r-1, by element
-        star_here = self.v._star_rows(0)
         for rank in range(d + 1):
-            star_above = self.v._star_rows(rank + 1)
             rows: dict = {}
             for x in self.universe.elements_of_rank(rank):
                 row = up(x)
@@ -267,9 +256,9 @@ class GradedGraphPair:
                     rows[x] = row
                 acc: dict = {}
                 for y, w in row.items():
-                    for z, c in star_above(y):
+                    for z, c in star(y):
                         acc[z] = acc.get(z, 0) + w * c
-                for p, w in star_here(x):
+                for p, w in star(x):
                     for z, c in below[p].items():
                         acc[z] = acc.get(z, 0) - w * c
                 checked += 1
@@ -288,7 +277,7 @@ class GradedGraphPair:
                     return DualityReport(False, mode, d, checked, [DualityFailure(
                         x, Combination(self.universe, acc),
                         Combination.unit(self.universe, x, expected))])
-            below, star_here = rows, star_above
+            below = rows
         return DualityReport(True, mode, d, checked, [], table)
 
     def check_iterated_identity(self, phi: Callable, n: int,

@@ -12,10 +12,10 @@ predicate, slices, twisted map and diagonal.
 ``Operad.up_row`` makes one ``compose`` per (generator, position) pair and
 stays the oracle; the chain and the word operads give their up rows
 directly (a word splices shifted generators in place of each letter).  Star
-rows come from reverse-edge tables unless an operad knows them in closed
-form: the trees both, the chain, comp and fcat:m the twisted one (a word
-comes from its prefix).  ``GradedGraph.up_adjoint`` reads the table and is
-the oracle for every closed form.
+rows are (element, weight) pairs, in closed form where cheap: the trees both,
+the chain, comp and fcat:m the twisted one (a word comes from its prefix).
+Elsewhere the graph reads a reverse-edge table, and ``up_adjoint`` reads it
+for every graph: the oracle for every closed form.
 
 The graph builders at the end of this module are the only ones.  They take
 any operad, the free ones included.
@@ -23,6 +23,7 @@ any operad, the free ones included.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import repeat
 
 from .alphabet import Alphabet, Letter
 from .graded_graph import GradedGraph, GradedGraphPair
@@ -65,7 +66,7 @@ class Operad:
     unit = None
     generators: tuple = ()
     phi_pair = "uv"
-    # closed-form star rows; None derives them from reverse-edge tables
+    # closed-form star rows of (element, weight) pairs; None reads a table
     up_star = None
     v_star = None
 
@@ -197,7 +198,7 @@ class AsOperad(Operad):
 
     def v_star(self, x):
         """Only x - 1 steps up to x, once."""
-        return {x - 1: 1} if x > 1 else {}
+        return ((x - 1, 1),) if x > 1 else ()
 
 
 class WordOperad(Operad):
@@ -302,7 +303,7 @@ class CompOperad(WordOperad):
 
     def v_star(self, y):
         """A word of length >= 2 comes only from its own prefix."""
-        return {y[:-1]: 1} if len(y) > 1 else {}
+        return ((y[:-1], 1),) if len(y) > 1 else ()
 
     def phi(self, x):
         return 2
@@ -438,13 +439,13 @@ class TreeUniverse(Operad):
         """Diagonal coefficient making the prefix/twisted pair dual."""
         return len(self.alphabet) * nf(t)
 
-    def up_star(self, t: SyntaxTree) -> dict:
+    def up_star(self, t: SyntaxTree):
         """Star row of grafting: delete each maximal node."""
-        return dict.fromkeys(_deletions(t), 1)
+        return zip(_deletions(t), repeat(1))
 
-    def v_star(self, t: SyntaxTree) -> dict:
+    def v_star(self, t: SyntaxTree):
         """Star row of the twisted map: contract each quasi-maximal node."""
-        return dict.fromkeys(_contractions(t), 1)
+        return zip(_contractions(t), repeat(1))
 
 
 _OPERADS = {"as": AsOperad, "dias": DiasOperad, "comp": CompOperad, "motz": MotzOperad}

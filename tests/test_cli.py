@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opergraph.cli import load_fixtures, main, verify_fixtures
 
@@ -304,6 +307,23 @@ def test_stdout_does_not_depend_on_the_hash_seed(case):
     assert outputs == [(case["code"], case["stdout"])] * 2
 
 
+def test_a_closed_stdout_ends_quietly():
+    """A reader that closes the pipe (``| head``) ends the CLI with exit 1,
+    the code Python gives a broken pipe, and no traceback.  The read end is
+    closed before the process starts, so the first flush already fails."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                                    os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "opergraph.cli", "trees", "--alphabet",
+                               "a:2", "--degree", "2", "--list"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 def test_deep_duality_check_does_not_recurse(capsys):
     """Grafting walks down to the leaf and rebuilds upward without recursion,
     so the unary chain checks far past the recursion limit."""
@@ -382,3 +402,87 @@ def test_verify_fixtures_json(capsys):
     assert [row["id"] for row in rows] == [fx["id"] for fx, *_ in verify_fixtures("hook")]
     assert rows and all(set(row) == {"id", "ok", "expected", "actual"} and row["ok"]
                         for row in rows)
+
+
+# -- the exit-code contract on random command lines --------------------------------
+
+ALPHABETS = st.sampled_from(["a:2", "a:2,c:3", "e:1,a:2,c:3", "e:1", "c:3", "", "a:", "a:x",
+                             "a:2,a:3", ":2", "a:-1", "a:0", "a:2 c:3", "a:2,", "#5:2"])
+TERMS = st.sampled_from(["*", "a[*,*]", "a[*,a[*,*]]", " a [ * , e[*] ] ", "c[*,*,*]", "e[*]",
+                         "a[*", "a[*,*]]", "", "b[*,*]", "a[*]", "a[*,*", "[*]", "*,*"])
+OPERADS = st.sampled_from(["as", "dias", "comp", "motz", "fcat:0", "fcat:2", "FCAT:1",
+                           "fcat:", "fcat:x", "fcat:-1", "zzz", ""])
+WORDS = st.sampled_from(["1", "3", "0", "-1", "01", "10", "011", "010", "0110", "0,1,0",
+                         "0120", "2", "", "x", "0,x", "01a"])
+BOUNDS = st.sampled_from(["0", "1", "2", "3", "-1", "x", "1.5", ""])
+FILTERS = st.sampled_from(["theta", "stringy", "hook", "interval", "duality-as", "selfdual",
+                           "zzz"])
+
+
+def _cat(*parts):
+    """One argv from fixed word lists and strategies of word lists."""
+    return st.tuples(*(part if isinstance(part, st.SearchStrategy) else st.just(part)
+                       for part in parts)).map(lambda words: sum(words, []))
+
+
+def _arg(flag, values):
+    return values.map(lambda value: [flag, value])
+
+
+def _opt(*flags):
+    return st.sampled_from([[]] + [[flag] for flag in flags])
+
+
+def _choice(*values):
+    return st.sampled_from(values)
+
+
+TARGETS = _arg("--alphabet", ALPHABETS) | _arg("--operad", OPERADS)
+COMMANDS = st.one_of(
+    _cat(["trees"], _arg("--alphabet", ALPHABETS), _arg("--degree", BOUNDS),
+         _opt("--list"), _opt("--json")),
+    _cat(_choice(["hook"], ["twisted-hook"]), _arg("--alphabet", ALPHABETS),
+         _arg("--degree", BOUNDS), _opt("--json")),
+    _cat(["paths-series"], _arg("--alphabet", ALPHABETS), _arg("--graph", _choice("u", "v", "w")),
+         _arg("--max", BOUNDS), _opt("--json")),
+    _cat(["check-duality"], TARGETS, _opt("--pair uv".split(), "--pair uu".split()).map(
+        lambda w: w[0] if w else []), _arg("--max", BOUNDS), _opt("--discover-phi"),
+        _opt("--json")),
+    _cat(["poset"], _choice(["meet"], ["join"]), _arg("--alphabet", ALPHABETS),
+         _arg("--left", TERMS), _arg("--right", TERMS), _opt("--json")),
+    _cat(["poset", "interval"], _arg("--alphabet", ALPHABETS), _arg("--lower", TERMS),
+         _arg("--upper", TERMS), _opt("--elements"), _opt("--json")),
+    _cat(["poset", "interval-series"], _arg("--alphabet", ALPHABETS), _arg("--max", BOUNDS),
+         _opt(*(["--q", q] for q in ("-2", "0", "1", "3", "x"))).map(
+             lambda w: w[0] if w else []), _opt("--json")),
+    _cat(["poset", "stringy"], _arg("--alphabet", ALPHABETS), _arg("--max", BOUNDS),
+         _opt("--json")),
+    _cat(["operad"], OPERADS.map(lambda op: [op]), st.one_of(
+        _cat(_choice(["up"], ["v"], ["v-oracle"]), _arg("--element", WORDS)),
+        _cat(["hook"], _arg("--max", BOUNDS)),
+        _cat(["generators"], _arg("--arity-max", BOUNDS))), _opt("--json")),
+    _cat(["export-dot"], TARGETS, _arg("--graph", _choice("u", "v")), _arg("--max", BOUNDS),
+         _opt("--json")),
+    _cat(["verify-fixtures"], _arg("--filter", FILTERS), _opt("--json")),
+)
+# half of them with one word dropped, to reach argparse's own errors too
+ARGVS = COMMANDS | st.tuples(COMMANDS, st.integers(0, 12)).map(
+    lambda drawn: drawn[0][:drawn[1]] + drawn[0][drawn[1] + 1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARGVS)
+def test_random_command_lines_keep_the_exit_code_contract(argv):
+    """Every command line ends in exit 0, 1 or 2 (or argparse's own exit 0
+    or 2), with no traceback on stderr and nothing on stdout for exit 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code in (0, 2), argv
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv

@@ -1,8 +1,8 @@
 import pytest
 
 from opergraph import LEAF, Alphabet, Combination, corolla, enumerate_trees, parse_term
-from opergraph.free_graphs import (phi_free, prefix_graph, prefix_pair, self_pair,
-                                   twisted_graph)
+from opergraph.free_graphs import (hook_closed_form, phi_free, prefix_graph, prefix_pair,
+                                   self_pair, twisted_graph, twisted_hook)
 from opergraph import operads
 from opergraph.operads import get_operad
 
@@ -12,6 +12,15 @@ def test_up_adjoint_examples(a2):
     assert graph.up_adjoint(corolla(a2["a"])) == \
         Combination.unit(graph.universe, LEAF)
     assert not graph.up_adjoint(LEAF)
+
+
+def test_up_adjoint_outside_the_graph(a2, a2c3):
+    """An element no edge reaches has an empty row, however often it is
+    asked for, and the rows of its rank stay as they were."""
+    graph = operads.prefix_graph.__wrapped__(operads.TreeUniverse(a2))
+    foreign = corolla(a2c3["c"])
+    assert not graph.up_adjoint(foreign) and not graph.up_adjoint(foreign)
+    assert list(graph._table_row(corolla(a2["a"]))) == [(LEAF, 1)]
 
 
 def test_adjointness_exhaustive(a2):
@@ -59,6 +68,20 @@ def test_star_rows_match_up_adjoint(build, universe, d):
     for rank in range(d + 1):
         for x in universe.elements_of_rank(rank):
             assert graph.star(x) == graph.up_adjoint(x)
+
+
+@pytest.mark.parametrize("universe,d", STAR_UNIVERSES, ids=lambda v: getattr(v, "name", None))
+@pytest.mark.parametrize("build", [operads.prefix_graph, operads.twisted_graph],
+                         ids=["prefix", "twisted"])
+def test_star_rows_name_each_element_once(build, universe, d):
+    """A star row, closed form or table, is (element, weight) pairs with
+    positive int weights and no element twice."""
+    graph = build(universe)
+    for rank in range(d + 1):
+        for x in universe.elements_of_rank(rank):
+            row = list(graph._star(x))
+            assert all(type(w) is int and w > 0 for _, w in row), x
+            assert len({p for p, _ in row}) == len(row), x
 
 
 def test_path_weight_sum_chain():
@@ -121,6 +144,21 @@ def test_returning_hooks_free_pair_by_path_pairs(a2):
     for t in enumerate_trees(a2, 3):
         assert returning.coeff(t) == \
             count_paths(pair.u, t) * count_paths(pair.v, t)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("a:2", [1, 1, 2, 6, 24, 120]),  # n!
+    ("a:2,b:2", [1, 2, 8, 48, 384, 3840]),  # 2^n n!
+    ("e:1,a:2,c:3", [1, 3, 18, 198, 3456, 87048]),
+])
+def test_returning_paths_series(text, expected):
+    """The returning series counts pairs of initial paths, one in U and one
+    in V, ending at one tree: per degree, the sum of the product of the two
+    closed-form hooks over the enumerated trees."""
+    alphabet = Alphabet.parse(text)
+    assert prefix_pair(alphabet).returning_paths_series(5).t_coeff_list(5) == expected
+    assert [sum(hook_closed_form(t) * twisted_hook(t) for t in enumerate_trees(alphabet, d))
+            for d in range(6)] == expected
 
 
 def test_duality_commutator_examples(a2):

@@ -186,6 +186,25 @@ def test_direct_rows_never_compose(monkeypatch):
         assert pair.v._reverse == {}, op
 
 
+@pytest.mark.parametrize("universe", [TreeUniverse(Alphabet.parse(text))
+                                      for text in ("a:2", "a:2,c:3", "e:1,c:3")]
+                         + [AsOperad(), CompOperad()] + [FCatOperad(m) for m in range(4)],
+                         ids=lambda op: op.name)
+def test_closed_form_stars_fill_no_reverse_edge_table(universe):
+    """A graph with a closed-form star map never fills its reverse-edge
+    table, neither in the duality check nor in the hooks; the prefix graphs
+    of the operads have none and fill theirs."""
+    pair = GradedGraphPair(prefix_graph.__wrapped__(universe),
+                           twisted_graph.__wrapped__(universe))
+    assert pair.check_phi_diagonal(universe.phi, 4).ok
+    pair.u.hook_slices(4)
+    pair.v.hook_slices(4)
+    closed = [pair.u, pair.v] if isinstance(universe, TreeUniverse) else [pair.v]
+    for graph in (pair.u, pair.v):
+        filled = (graph._reverse, graph._reverse_ranks) != ({}, set())
+        assert filled is (graph not in closed), graph.name
+
+
 def test_comp_prefix_graph_matches_known_covers():
     graph = prefix_graph(COMP)
     edges = {}
