@@ -445,16 +445,14 @@ COMMANDS = st.one_of(
          _arg("--degree", BOUNDS), _opt("--json")),
     _cat(["paths-series"], _arg("--alphabet", ALPHABETS), _arg("--graph", _choice("u", "v", "w")),
          _arg("--max", BOUNDS), _opt("--json")),
-    _cat(["check-duality"], TARGETS, _opt("--pair uv".split(), "--pair uu".split()).map(
-        lambda w: w[0] if w else []), _arg("--max", BOUNDS), _opt("--discover-phi"),
-        _opt("--json")),
+    _cat(["check-duality"], TARGETS, _choice([], ["--pair", "uv"], ["--pair", "uu"]),
+         _arg("--max", BOUNDS), _opt("--discover-phi"), _opt("--json")),
     _cat(["poset"], _choice(["meet"], ["join"]), _arg("--alphabet", ALPHABETS),
          _arg("--left", TERMS), _arg("--right", TERMS), _opt("--json")),
     _cat(["poset", "interval"], _arg("--alphabet", ALPHABETS), _arg("--lower", TERMS),
          _arg("--upper", TERMS), _opt("--elements"), _opt("--json")),
     _cat(["poset", "interval-series"], _arg("--alphabet", ALPHABETS), _arg("--max", BOUNDS),
-         _opt(*(["--q", q] for q in ("-2", "0", "1", "3", "x"))).map(
-             lambda w: w[0] if w else []), _opt("--json")),
+         _choice([], *(["--q", q] for q in ("-2", "0", "1", "3", "x"))), _opt("--json")),
     _cat(["poset", "stringy"], _arg("--alphabet", ALPHABETS), _arg("--max", BOUNDS),
          _opt("--json")),
     _cat(["operad"], OPERADS.map(lambda op: [op]), st.one_of(
@@ -464,6 +462,7 @@ COMMANDS = st.one_of(
     _cat(["export-dot"], TARGETS, _arg("--graph", _choice("u", "v")), _arg("--max", BOUNDS),
          _opt("--json")),
     _cat(["verify-fixtures"], _arg("--filter", FILTERS), _opt("--json")),
+    _cat(_choice([], ["trees"], ["poset"], ["poset", "meet"], ["operad", "as"]), ["--help"]),
 )
 # half of them with one word dropped, to reach argparse's own errors too
 ARGVS = COMMANDS | st.tuples(COMMANDS, st.integers(0, 12)).map(
