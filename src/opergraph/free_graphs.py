@@ -8,19 +8,20 @@ first are leaves); its adjoint inserts above first children only.
 
 Trees over an alphabet are the free operad ``operads.TreeUniverse``, which
 carries these four maps; the graphs come from the builders in ``operads``,
-and the alphabet-taking functions here are calls on that universe.
+and the alphabet-taking functions here are calls on that universe.  The
+two hook closed forms are products over the internal nodes of a tree.
 """
 from __future__ import annotations
 
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 from . import operads
 from .alphabet import Alphabet
 from .graded_graph import GradedGraph, GradedGraphPair
 from .operads import OracleBoundError, TreeUniverse
 from .poly import Combination
-from .tree import LEAF, SyntaxTree, _deletions, node_stats
+from .tree import SyntaxTree, _deletions, _subtrees, node_stats
 
 
 # -- the star maps ----------------------------------------------------------------
@@ -44,43 +45,16 @@ def multinomial(parts) -> int:
     return out
 
 
-def _fold(t: SyntaxTree, factor, memo: dict) -> int:
-    """The product of factor(sub) over the internal nodes sub of t.  Subtrees
-    are folded children first with an explicit stack, so that depth is no
-    limit, and memo keeps each subtree's product across calls."""
-    stack = [t]
-    while stack:
-        sub = stack[-1]
-        if sub in memo:
-            stack.pop()
-            continue
-        pending = [c for c in sub.children if c not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        out = factor(sub)
-        for c in sub.children:
-            out *= memo[c]
-        memo[sub] = out
-    return memo[t]
-
-
-_DEGREE_PRODUCTS: dict = {LEAF: 1}
-_TWISTED_HOOKS: dict = {LEAF: 1}
-
-
 def hook_closed_form(t: SyntaxTree) -> int:
     """deg(t)! divided by the product of the degrees of all internal-node
     subtrees; counts the linear extensions of the ancestor order of t."""
-    return factorial(t.degree) // _fold(t, lambda sub: sub.degree, _DEGREE_PRODUCTS)
+    return factorial(t.degree) // prod(sub.degree for sub in _subtrees(t))
 
 
 def twisted_hook(t: SyntaxTree) -> int:
     """Linear extensions of the twisted ancestor order: the shuffle factor
     skips the first child."""
-    return _fold(t, lambda sub: multinomial(c.degree for c in sub.children[1:]),
-                 _TWISTED_HOOKS)
+    return prod(multinomial(c.degree for c in sub.children[1:]) for sub in _subtrees(t))
 
 
 def phi_free(t: SyntaxTree, alphabet: Alphabet) -> int:

@@ -28,8 +28,8 @@ from itertools import repeat
 from .alphabet import Alphabet, Letter
 from .graded_graph import GradedGraph, GradedGraphPair
 from .poly import Combination
-from .tree import (LEAF, SyntaxTree, _contractions, _deletions, compose_index, corolla,
-                   enumerate_trees, nf, node, parse_term)
+from .tree import (LEAF, SyntaxTree, _contractions, _deletions, _rebuild, _subtrees,
+                   compose_index, corolla, enumerate_trees, nf, parse_term)
 
 
 class OracleBoundError(ValueError):
@@ -413,8 +413,8 @@ class TreeUniverse(Operad):
         return compose_index(t, i, s)
 
     def contains(self, t) -> bool:
-        return isinstance(t, SyntaxTree) and (
-            t.is_leaf or (t.letter in self.alphabet and all(map(self.contains, t.children))))
+        return isinstance(t, SyntaxTree) and all(
+            sub.letter in self.alphabet for sub in _subtrees(t))
 
     def elements_of_rank(self, d: int) -> list[SyntaxTree]:
         return enumerate_trees(self.alphabet, d)
@@ -426,13 +426,16 @@ class TreeUniverse(Operad):
         return parse_term(text, self.alphabet)
 
     def v_explicit(self, t: SyntaxTree) -> list[SyntaxTree]:
-        """Successors in the twisted graph: a new root above t, or,
-        recursively, one inside a child past the first."""
-        out = [compose_index(g, 1, t) for g in self.generators]
-        kids = t.children
-        for j in range(1, len(kids)):
-            for inner in self.v_explicit(kids[j]):
-                out.append(node(t.letter, kids[:j] + (inner,) + kids[j + 1:]))
+        """Successors in the twisted graph: a new root above t or above any
+        subtree reached from the root through children past the first."""
+        out = []
+        stack = [(t, ())]
+        while stack:
+            sub, spine = stack.pop()
+            out.extend(_rebuild(spine, compose_index(g, 1, sub)) for g in self.generators)
+            kids = sub.children
+            for j in range(len(kids) - 1, 0, -1):
+                stack.append((kids[j], spine + ((sub, j),)))
         return out
 
     def phi(self, t: SyntaxTree) -> int:

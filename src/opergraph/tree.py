@@ -9,6 +9,12 @@ sole ordering witness; it is rendered on first use and cached on the node.
 Each node also caches its deletions and contractions (the two star maps).
 The free operad these trees form is ``operads.TreeUniverse``.
 
+Walks over every internal node use ``_subtrees``, and edits at one address
+rebuild the path above it with ``_rebuild``.  Like the parser, the renderer,
+``nf`` and ``node_stats``, they keep an explicit stack, so that depth is no
+limit.  The prefix-order walks, the JSON codec and ``compose_forest`` still
+recurse once per level.
+
 Node addresses are tuples of positive integers; the empty tuple is the root.
 """
 from __future__ import annotations
@@ -255,12 +261,32 @@ def subtree_at(t: SyntaxTree, u: Address) -> SyntaxTree:
     return current
 
 
+def _rebuild(spine, s: SyntaxTree) -> SyntaxTree:
+    """Put s where the spine ends.  The spine lists (parent, child position)
+    pairs from the root down; each parent is rebuilt around s, bottom up."""
+    for parent, pos in reversed(spine):
+        kids = parent.children
+        s = node(parent.letter, kids[:pos] + (s,) + kids[pos + 1:])
+    return s
+
+
 def _replace_at(t: SyntaxTree, u: Address, replacement: SyntaxTree) -> SyntaxTree:
-    if not u:
-        return replacement
-    i = u[0]
-    kids = t.children
-    return node(t.letter, kids[:i - 1] + (_replace_at(kids[i - 1], u[1:], replacement),) + kids[i:])
+    spine = []
+    for i in u:
+        spine.append((t, i - 1))
+        t = t.children[i - 1]
+    return _rebuild(spine, replacement)
+
+
+def _subtrees(t: SyntaxTree):
+    """The subtrees of t rooted at its internal nodes, t first, one per node.
+    The walk keeps an explicit stack, so that depth is no limit."""
+    stack = [t]
+    while stack:
+        sub = stack.pop()
+        if sub.degree:
+            yield sub
+            stack.extend(sub.children)
 
 
 # -- structural statistics ----------------------------------------------------
@@ -284,33 +310,36 @@ def node_stats(t: SyntaxTree) -> NodeStats:
     """
     nodes, internal, leaves = [], [], []
     maximal, quasi, non_first = [], [], []
-
-    def walk(sub: SyntaxTree, addr: Address, saw_first: bool):
+    stack = [(t, (), False)]
+    while stack:
+        sub, addr, saw_first = stack.pop()
         nodes.append(addr)
         if sub.is_leaf:
             leaves.append(addr)
             if not saw_first:
                 non_first.append(addr)
-            return
+            continue
         internal.append(addr)
         if all(c.is_leaf for c in sub.children):
             maximal.append(addr)
         if not saw_first and all(c.is_leaf for c in sub.children[1:]):
             quasi.append(addr)
         for i, child in enumerate(sub.children, start=1):
-            walk(child, addr + (i,), saw_first or i == 1)
-
-    walk(t, (), False)
+            stack.append((child, addr + (i,), saw_first or i == 1))
     return NodeStats(tuple(sorted(nodes)), tuple(sorted(internal)), tuple(sorted(leaves)),
                      tuple(sorted(maximal)), tuple(sorted(quasi)), tuple(sorted(non_first)))
 
 
-@lru_cache(maxsize=None)
 def nf(t: SyntaxTree) -> int:
     """Number of leaves whose address avoids the integer 1."""
-    if t.is_leaf:
-        return 1
-    return sum(nf(c) for c in t.children[1:])
+    count, stack = 0, [t]
+    while stack:
+        sub = stack.pop()
+        if sub.is_leaf:
+            count += 1
+        else:
+            stack.extend(sub.children[1:])
+    return count
 
 
 # -- composition ---------------------------------------------------------------
@@ -320,7 +349,6 @@ def compose_index(t: SyntaxTree, i: int, s: SyntaxTree) -> SyntaxTree:
     in lexicographic address order)."""
     if not 1 <= i <= t.arity:
         raise IndexError(f"leaf index {i} out of range 1..{t.arity} for {t.term}")
-    # walk down to the leaf, recording (parent, position), then rebuild upward
     spine = []
     while not t.is_leaf:
         for pos, child in enumerate(t.children):
@@ -329,10 +357,7 @@ def compose_index(t: SyntaxTree, i: int, s: SyntaxTree) -> SyntaxTree:
             i -= child.arity
         spine.append((t, pos))
         t = child
-    for parent, pos in reversed(spine):
-        kids = parent.children
-        s = node(parent.letter, kids[:pos] + (s,) + kids[pos + 1:])
-    return s
+    return _rebuild(spine, s)
 
 
 def leaf_index(t: SyntaxTree, u: Address) -> int:

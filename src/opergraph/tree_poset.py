@@ -17,7 +17,7 @@ from operator import attrgetter
 
 from .alphabet import Alphabet
 from .series import Series2
-from .tree import LEAF, SyntaxTree, _nodes, enumerate_trees, is_prefix, node
+from .tree import LEAF, SyntaxTree, _nodes, _subtrees, enumerate_trees, is_prefix, node
 
 Forest = tuple[SyntaxTree, ...]
 
@@ -218,10 +218,7 @@ def interval_isomorphic(s: SyntaxTree, t: SyntaxTree,
 
 def is_stringy(t: SyntaxTree) -> bool:
     """At most one internal child under every internal node."""
-    if t.is_leaf:
-        return True
-    big = [c for c in t.children if not c.is_leaf]
-    return len(big) <= 1 and all(is_stringy(c) for c in big)
+    return all(sum(not c.is_leaf for c in sub.children) <= 1 for sub in _subtrees(t))
 
 
 def stringy_count(alphabet: Alphabet, d: int) -> int:

@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 from dataclasses import is_dataclass
 from itertools import product
 
 import pytest
 
-from opergraph import (LEAF, Alphabet, Combination, TreeUniverse, enumerate_trees,
-                       free_graphs, is_prefix, parse_term)
+from opergraph import (LEAF, Alphabet, Combination, Letter, TreeUniverse, compose_index,
+                       corolla, enumerate_trees, free_graphs, is_prefix, node, parse_term)
 from opergraph.free_graphs import OracleBoundError
 from opergraph.graded_graph import GradedGraphPair
 from opergraph.operads import (AsOperad, CompOperad, FCatOperad, NotDiagonalError, Operad,
@@ -443,6 +444,39 @@ def test_trees_are_an_operad_with_one_name_per_concept():
     assert same is not free and same == free and hash(same) == hash(free)
     assert free != TreeUniverse(Alphabet.parse("a:2,b:2"))
     assert TreeUniverse(Alphabet.parse("fcat:1")) != get_operad("fcat:1")
+
+
+def _v_explicit_recursive(free, t):
+    """The recursive twisted successor list ``TreeUniverse.v_explicit``
+    replaced: a new root above t, or, recursively, one inside a child past
+    the first.  The reference for its rows."""
+    out = [compose_index(g, 1, t) for g in free.generators]
+    kids = t.children
+    for j in range(1, len(kids)):
+        for inner in _v_explicit_recursive(free, kids[j]):
+            out.append(node(t.letter, kids[:j] + (inner,) + kids[j + 1:]))
+    return out
+
+
+@pytest.mark.parametrize("text", ["e:1,a:2,c:3", "a:2,b:2"])
+def test_twisted_successors_match_the_recursive_reference(text):
+    free = TreeUniverse(Alphabet.parse(text))
+    for d in range(5):
+        for t in free.elements_of_rank(d):
+            assert Counter(free.v_explicit(t)) == Counter(_v_explicit_recursive(free, t)), t
+
+
+def test_membership_rejects_a_foreign_letter_at_any_depth(eac):
+    free = TreeUniverse(eac)
+    foreign = Letter("b", 2)
+    for depth in (0, 1, 40):
+        t = node(foreign, (LEAF, LEAF))
+        for _ in range(depth):
+            t = node(eac["a"], (LEAF, t))
+        assert not free.contains(t)
+        assert not free.contains(node(eac["a"], (t, LEAF)))
+    assert free.contains(node(eac["a"], (LEAF, corolla(eac["c"]))))
+    assert not free.contains((0, 1))
 
 
 def test_free_graph_lookup_compares_alphabets_without_rendering():

@@ -1,16 +1,22 @@
+import importlib
 import json
+import pkgutil
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opergraph import (LEAF, Alphabet, Letter, SyntaxTree, compose_address,
+import opergraph
+from opergraph import (LEAF, Alphabet, Letter, SyntaxTree, TreeUniverse, compose_address,
                        compose_forest, compose_index, contract_node, corolla,
-                       delete_node, enumerate_trees, is_prefix, node, node_stats,
-                       parse_term, subtree_at)
+                       delete_node, enumerate_trees, free_graphs, is_prefix, node,
+                       node_stats, parse_term, subtree_at)
+from opergraph.free_graphs import hook_closed_form, twisted_graph, twisted_hook
 from opergraph.series import Series2, fixed_point
 from opergraph.tree import (_INTERN, AddressError, ParseError, format_address,
-                            leaf_index, parse_address, tree_from_json,
+                            leaf_index, nf, parse_address, tree_from_json,
                             tree_to_json)
+from opergraph.tree_poset import is_stringy
 
 ABC = Alphabet.parse("a:2,b:2,c:3")
 
@@ -397,6 +403,67 @@ def test_deep_trees_render_without_recursion():
         t = node(e, (t,))
     assert t.degree == 5000
     assert t.term == "e[" * 5000 + "*" + "]" * 5000
+
+
+# Each check walks a right comb a[*,a[*,...]] of depth D, three times the
+# recursion limit, so a walk that recursed once per level would raise
+# RecursionError.  The limit is lowered for the test to keep the comb small:
+# the twisted up row of a comb of depth D interns about 3·D²/2 new nodes.
+DEEP_COMB_CHECKS = {
+    "nf": lambda a, t, d: nf(t) == 1,
+    "hooks": lambda a, t, d: hook_closed_form(t) == twisted_hook(t) == 1,
+    "contains": lambda a, t, d: TreeUniverse(a).contains(t),
+    "is_stringy": lambda a, t, d: is_stringy(t),
+    "twisted_up": lambda a, t, d: len(twisted_graph(a).up(t)) == 3 * (d + 1),
+    "delete_node": lambda a, t, d: delete_node(t, (2,) * (d - 1)).degree == d - 1,
+    "contract_node": lambda a, t, d: contract_node(t, (2,) * (d - 1)).degree == d - 1,
+    "compose_address": lambda a, t, d:
+        subtree_at(compose_address(t, (2,) * d, corolla(a["c"])), (2,) * d) is corolla(a["c"]),
+    "node_stats": lambda a, t, d: len(node_stats(t).leaves) == d + 1,
+}
+
+
+@pytest.fixture
+def low_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+@pytest.mark.parametrize("check", DEEP_COMB_CHECKS)
+def test_tree_walks_take_a_comb_deeper_than_the_recursion_limit(eac, low_recursion_limit, check):
+    depth = 3 * sys.getrecursionlimit()
+    comb = LEAF
+    for _ in range(depth):
+        comb = node(eac["a"], (LEAF, comb))
+    assert DEEP_COMB_CHECKS[check](eac, comb, depth)
+
+
+def test_module_caches_are_the_pinned_ones():
+    """Every module-global cache in the package, which a cache reset or a
+    cache report has to cover."""
+    found = {"opergraph.tree._INTERN"}
+    for info in pkgutil.iter_modules(opergraph.__path__):
+        module = importlib.import_module(f"opergraph.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                found.add(f"{module.__name__}.{name}")
+    assert found == {
+        "opergraph.tree._INTERN",
+        "opergraph.tree._compositions",
+        "opergraph.tree._degree_slices",
+        "opergraph.tree_poset._prefixes",
+        "opergraph.operads.generator_alphabet",
+        "opergraph.operads.get_operad",
+        "opergraph.operads.prefix_graph",
+        "opergraph.operads.twisted_graph",
+    }
+    assert not hasattr(nf, "cache_info")
+    assert not hasattr(free_graphs, "_DEGREE_PRODUCTS")
+    assert not hasattr(free_graphs, "_TWISTED_HOOKS")
 
 
 # letter names that share prefixes, so that name order and term order differ
