@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 a failed verification (with a witness) or a closed
 stdout, 2 usage errors.  ``--json`` gives any subcommand machine output.
+``main`` builds the argument parser on its first call and reuses it on every
+later call in the process; ``build_parser`` returns a new one each time.
 """
 from __future__ import annotations
 
@@ -346,6 +348,7 @@ def _bound(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the whole command line, on every call."""
     parser = argparse.ArgumentParser(
         prog="opergraph",
         description="Exact graded graphs, hook statistics and prefix posets "
@@ -444,10 +447,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser ``main`` built on its first call; parse_args leaves a parser as it
+# was, so one serves every later call in the process
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and
+    return its exit code; argparse's own errors and ``--help`` raise
+    ``SystemExit``.  The parser is built on the first call and reused by
+    every later one, so an in-process call pays only for its command."""
+    global _parser
     try:
         try:
-            args = build_parser().parse_args(argv)
+            if _parser is None:
+                _parser = build_parser()
+            args = _parser.parse_args(argv)
             return args.func(args)
         except (ValueError, IndexError) as exc:
             print(f"error: {exc}", file=sys.stderr)

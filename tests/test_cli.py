@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opergraph import cli
 from opergraph.cli import load_fixtures, main, verify_fixtures
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -485,3 +486,64 @@ def test_random_command_lines_keep_the_exit_code_contract(argv):
     assert "Traceback" not in err.getvalue(), argv
     if code == 2:
         assert out.getvalue() == "", argv
+
+
+# -- one parser per process ---------------------------------------------------------
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    """A success, an argparse error and a ValueError exit share one build."""
+    build, builds = cli.build_parser, []
+
+    def counting_build():
+        builds.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_parser", None)
+    assert main(["trees", "--alphabet", "a:2", "--degree", "2"]) == 0
+    with pytest.raises(SystemExit) as err:
+        main(["paths-series", "--alphabet", "a:2"])
+    assert err.value.code == 2
+    assert main(["trees", "--alphabet", "zz", "--degree", "2"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    assert len(builds) == 1
+    assert build() is not build()
+
+
+def test_importing_the_cli_builds_no_parser():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                                    os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import opergraph.cli as cli; print(cli._parser is None)"],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.stdout.split() == ["True"], proc.stderr
+
+
+def _parse(parser, argv):
+    """What one parse gives: the namespace without its handler (the hook
+    lambdas are new objects on every build), or argparse's exit code with
+    what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+    namespace.pop("func", None)
+    return "parsed", namespace
+
+
+def _held_parser():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["trees", "--alphabet", "a:2", "--degree", "0"]) == 0
+    return cli._parser
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ARGVS, min_size=2, max_size=5))
+def test_the_held_parser_carries_nothing_between_calls(argvs):
+    """Command lines fed in turn to the held parser parse, fail and print
+    help exactly as each would on a new parser."""
+    held = _held_parser()
+    for argv in argvs:
+        assert _parse(held, argv) == _parse(cli.build_parser(), argv), argv
