@@ -26,7 +26,10 @@ README = HERE.parent / "README.md"
 # series, the fixture table, the word operads' up rows and phi discovery, an
 # interval count, a meet and a join of terms written with spaces, and the
 # hooks and duality checks that read star rows from reverse-edge tables
-# (motz and dias twisted, and the two self pairs that fail)
+# (motz and dias twisted, and the two self pairs that fail); then the --json
+# output of every subcommand the lines above print only plain, an oracle row,
+# a join with no upper bound, an unevaluated interval series and operad
+# generators in plain text
 EXTRA = [
     "export-dot --alphabet a:2 --graph v --max 3",
     "export-dot --alphabet a:2 --graph u --max 2 --json",
@@ -59,6 +62,27 @@ EXTRA = [
     "check-duality --operad dias --pair uu --max 5 --discover-phi",
     "check-duality --operad motz --pair uu --max 4 --discover-phi",
     "check-duality --operad comp --pair uu --max 4 --discover-phi",
+    "trees --alphabet a:2,c:3 --degree 2 --list --json",
+    "hook --alphabet a:2 --degree 3 --json",
+    "twisted-hook --alphabet a:2,c:3 --degree 2 --json",
+    "paths-series --alphabet a:2 --graph u --max 5 --json",
+    "poset meet --alphabet a:2,c:3 --left 'a[c[*,*,*],*]' --right 'a[*,a[*,*]]' --json",
+    "poset join --alphabet a:2,c:3 --left 'a[c[*,*,*],*]' --right 'a[*,a[*,*]]' --json",
+    "poset interval --alphabet a:2 --lower '*' --upper 'a[a[*,*],*]' --elements --json",
+    "poset interval-series --alphabet a:2,c:3 --max 4 --q 2 --json",
+    "poset interval-series --alphabet a:2 --max 3 --json",
+    "poset stringy --alphabet a:2,c:3 --max 5 --json",
+    "operad motz up --element 010 --json",
+    "operad motz v --element 010 --json",
+    "operad motz v-oracle --element 010 --json",
+    "operad comp hook --max 3 --json",
+    "operad fcat:2 generators --arity-max 3 --json",
+    "verify-fixtures --filter hook --json",
+    "operad motz v-oracle --element 010",
+    "poset join --alphabet a:2,b:2 --left 'a[*,*]' --right 'b[*,*]'",
+    "poset join --alphabet a:2,b:2 --left 'a[*,*]' --right 'b[*,*]' --json",
+    "poset interval-series --alphabet a:2,c:3 --max 4",
+    "operad motz generators --arity-max 5",
 ]
 
 
