@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 a failed verification (with a witness) or a closed
 stdout, 2 usage errors.  ``--json`` gives any subcommand machine output.
+``_command`` declares each leaf subcommand once, with one handler, and every
+handler prints through ``_emit``.  Path series, stringy counts and operad hook
+rows are each computed by one function, which the fixture checks call too.
 ``main`` builds the argument parser on its first call and reuses it on every
 later call in the process; ``build_parser`` returns a new one each time.
 """
@@ -42,11 +45,33 @@ def _pair(universe, which: str):
     return (self_pair if which == "uu" else prefix_pair)(universe)
 
 
-def _emit(args, payload, plain):
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=None, separators=(",", ":")))
+def _emit(args, payload, lines, code=0, separators=(",", ":")):
+    """Print the payload as one JSON line under --json, else each line; return code."""
+    if args.json:
+        print(json.dumps(payload, separators=separators))
     else:
-        plain()
+        for line in lines:
+            print(line)
+    return code
+
+
+# -- quantities shared by the commands and the fixture checks ------------------
+
+def _paths_series(alphabet, which: str, n: int) -> list[int]:
+    """Initial multipath counts of ranks 0..n in the free U or V graph."""
+    return _graph(TreeUniverse(alphabet), which).initial_paths_series(n).t_coeff_list(n)
+
+
+def _stringy_counts(alphabet, n: int) -> list[int]:
+    return [stringy_count(alphabet, d) for d in range(n + 1)]
+
+
+def _operad_hooks(op, max_degree: int) -> list[tuple[str, int]]:
+    """(rendered element, hook) for every element up to the degree, in
+    slice order."""
+    return [(op.render_elem(x), c)
+            for slice_ in prefix_graph(op).iter_hook_slices(max_degree)
+            for x, c in slice_.items()]
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -54,34 +79,22 @@ def _emit(args, payload, plain):
 def cmd_trees(args) -> int:
     trees = enumerate_trees(Alphabet.parse(args.alphabet), args.degree)
     payload = {"count": len(trees)}
-    if args.list:
+    if args.list:  # rendering a large slice is what --list asks for
         payload["trees"] = [t.term for t in trees]
-
-    def plain():
-        print(len(trees))
-        if args.list:
-            for t in trees:
-                print(t.term)
-
-    _emit(args, payload, plain)
-    return 0
+    return _emit(args, payload, [len(trees), *payload.get("trees", ())])
 
 
-def cmd_hook(args, twisted: bool) -> int:
+def cmd_hook(args, stat) -> int:
     alphabet = Alphabet.parse(args.alphabet)
-    stat = twisted_hook if twisted else hook_closed_form
     rows = [(t.term, stat(t)) for t in enumerate_trees(alphabet, args.degree)]
-    _emit(args, {"degree": args.degree, "hooks": rows},
-          lambda: [print(f"{term} {value}") for term, value in rows])
-    return 0
+    return _emit(args, {"degree": args.degree, "hooks": rows},
+                 (f"{term} {value}" for term, value in rows))
 
 
 def cmd_paths_series(args) -> int:
-    graph = _graph(_universe(args.alphabet), args.graph)
-    coeffs: list[int] = graph.initial_paths_series(args.max).t_coeff_list(args.max)
-    _emit(args, {"graph": args.graph, "coefficients": coeffs},
-          lambda: print(",".join(str(c) for c in coeffs)))
-    return 0
+    coeffs = _paths_series(Alphabet.parse(args.alphabet), args.graph, args.max)
+    return _emit(args, {"graph": args.graph, "coefficients": coeffs},
+                 [",".join(map(str, coeffs))])
 
 
 def cmd_check_duality(args) -> int:
@@ -96,96 +109,86 @@ def cmd_check_duality(args) -> int:
             payload["phi"] = [[render(x), c] for x, c in
                               sorted(report.table.items(),
                                      key=lambda kv: universe.sort_key(kv[0]))]
-
-        def plain():
-            print(f"ok: diagonal duality verified on {report.checked} elements "
-                  f"up to rank {args.max}")
-            for name, c in payload.get("phi", ()):
-                print(f"phi {name} = {c}")
-        _emit(args, payload, plain)
-        return 0
+        return _emit(args, payload, [
+            f"ok: diagonal duality verified on {report.checked} elements "
+            f"up to rank {args.max}",
+            *(f"phi {name} = {c}" for name, c in payload.get("phi", ()))])
     failure = report.witness()
     payload = {"ok": False, "witness": render(failure.element),
                "commutator": failure.commutator.to_json()}
     if failure.expected is not None:
         payload["expected"] = failure.expected.to_json()
-    _emit(args, payload, lambda: print(f"FAIL: {failure.render(universe)}"))
-    return 1
+    return _emit(args, payload, [f"FAIL: {failure.render(universe)}"], 1)
 
 
-def cmd_poset(args) -> int:
+def _terms(args, *names):
+    """The named arguments, parsed as terms over --alphabet."""
     alphabet = Alphabet.parse(args.alphabet)
-    if args.poset_cmd == "meet":
-        result = meet(parse_term(args.left, alphabet), parse_term(args.right, alphabet))
-        _emit(args, {"meet": result.term}, lambda: print(result.term))
-        return 0
-    if args.poset_cmd == "join":
-        result = join(parse_term(args.left, alphabet), parse_term(args.right, alphabet))
-        text = result.term if result is not None else None
-        _emit(args, {"join": text},
-              lambda: print(text if text is not None else "no upper bound"))
-        return 0
-    if args.poset_cmd == "interval":
-        lower = parse_term(args.lower, alphabet)
-        upper = parse_term(args.upper, alphabet)
-        count = interval(lower, upper, "count")
-        payload = {"count": count}
-        if args.elements:
-            payload["elements"] = [t.term for t in interval(lower, upper, "elements")]
-
-        def plain():
-            print(count)
-            for term in payload.get("elements", ()):
-                print(term)
-
-        _emit(args, payload, plain)
-        return 0
-    if args.poset_cmd == "interval-series":
-        series = interval_series(alphabet, args.max)
-        if args.q is not None:
-            coeffs = series.eval_q(args.q).t_coeff_list(args.max)
-            _emit(args, {"q": args.q, "coefficients": coeffs},
-                  lambda: print(",".join(str(c) for c in coeffs)))
-        else:
-            _emit(args, {"series": series.render()}, lambda: print(series.render()))
-        return 0
-    if args.poset_cmd == "stringy":
-        counts = [stringy_count(alphabet, d) for d in range(args.max + 1)]
-        _emit(args, {"counts": counts}, lambda: print(",".join(str(c) for c in counts)))
-        return 0
-    raise SystemExit(2)
+    return [parse_term(getattr(args, name), alphabet) for name in names]
 
 
-def cmd_operad(args) -> int:
+def cmd_meet(args) -> int:
+    text = meet(*_terms(args, "left", "right")).term
+    return _emit(args, {"meet": text}, [text])
+
+
+def cmd_join(args) -> int:
+    result = join(*_terms(args, "left", "right"))
+    text = result.term if result is not None else None
+    return _emit(args, {"join": text}, [text if text is not None else "no upper bound"])
+
+
+def cmd_interval(args) -> int:
+    lower, upper = _terms(args, "lower", "upper")
+    payload = {"count": interval(lower, upper, "count")}
+    if args.elements:
+        payload["elements"] = [t.term for t in interval(lower, upper, "elements")]
+    return _emit(args, payload, [payload["count"], *payload.get("elements", ())])
+
+
+def cmd_interval_series(args) -> int:
+    series = interval_series(Alphabet.parse(args.alphabet), args.max)
+    if args.q is None:
+        text = series.render()
+        return _emit(args, {"series": text}, [text])
+    coeffs = series.eval_q(args.q).t_coeff_list(args.max)
+    return _emit(args, {"q": args.q, "coefficients": coeffs}, [",".join(map(str, coeffs))])
+
+
+def cmd_stringy(args) -> int:
+    counts = _stringy_counts(Alphabet.parse(args.alphabet), args.max)
+    return _emit(args, {"counts": counts}, [",".join(map(str, counts))])
+
+
+def cmd_operad_row(args, row) -> int:
+    """One row map (``up``, ``v`` or ``v-oracle``) at one operad element."""
     op = get_operad(args.selector)
-    if args.operad_cmd in ("up", "v", "v-oracle"):
-        x = op.parse_elem(args.element)
-        combo = (v_operad_oracle(op, x) if args.operad_cmd == "v-oracle"
-                 else _graph(op, "u" if args.operad_cmd == "up" else "v").up(x))
-        _emit(args, {"result": combo.to_json()}, lambda: print(combo.render()))
-        return 0
-    if args.operad_cmd == "hook":
-        rows = [[op.render_elem(x), c]
-                for slice_ in prefix_graph(op).iter_hook_slices(args.max)
-                for x, c in slice_.items()]
-        _emit(args, {"hooks": rows},
-              lambda: [print(f"{name} {value}") for name, value in rows])
-        return 0
-    if args.operad_cmd == "generators":
-        gens = minimal_generators(op, args.arity_max)
-        names = [op.render_elem(g) for g in gens]
-        _emit(args, {"generators": names}, lambda: [print(n) for n in names])
-        return 0
-    raise SystemExit(2)
+    combo = row(op, op.parse_elem(args.element))
+    return _emit(args, {"result": combo.to_json()}, [combo.render()])
+
+
+_ROWS = {"up": lambda op, x: prefix_graph(op).up(x),
+         "v": lambda op, x: twisted_graph(op).up(x),
+         "v-oracle": v_operad_oracle}
+
+
+def cmd_operad_hook(args) -> int:
+    rows = _operad_hooks(get_operad(args.selector), args.max)
+    return _emit(args, {"hooks": rows}, (f"{name} {value}" for name, value in rows))
+
+
+def cmd_operad_generators(args) -> int:
+    op = get_operad(args.selector)
+    names = [op.render_elem(g) for g in minimal_generators(op, args.arity_max)]
+    return _emit(args, {"generators": names}, names)
 
 
 def cmd_export_dot(args) -> int:
+    # only the export asked for is built; JSON keeps json.dumps' default separators
     graph = _graph(_universe(args.alphabet, args.operad), args.graph)
     if args.json:
-        print(json.dumps(graph.export_json(args.max)))
-    else:
-        sys.stdout.write(graph.export_dot(args.max))
-    return 0
+        return _emit(args, graph.export_json(args.max), (), separators=None)
+    return _emit(args, None, [graph.export_dot(args.max).removesuffix("\n")])
 
 
 # -- fixtures ----------------------------------------------------------------------
@@ -197,10 +200,9 @@ def load_fixtures() -> list[dict]:
 
 # sequence kinds: terms 0..n of the pinned sequence over the fixture's alphabet
 _SEQUENCES = {
-    "paths_series": lambda fx, alphabet, n:
-        _graph(TreeUniverse(alphabet), fx["graph"]).initial_paths_series(n).t_coeff_list(n),
+    "paths_series": lambda fx, alphabet, n: _paths_series(alphabet, fx["graph"], n),
     "theta_rows": lambda fx, alphabet, n: theta_row_sums(alphabet, n),
-    "stringy": lambda fx, alphabet, n: [stringy_count(alphabet, d) for d in range(n + 1)],
+    "stringy": lambda fx, alphabet, n: _stringy_counts(alphabet, n),
     "interval_q1": lambda fx, alphabet, n: interval_series(alphabet, n).eval_q(1).t_coeff_list(n),
 }
 
@@ -237,10 +239,7 @@ def _check_shadow_load(fx: dict):
 
 
 def _check_hooks(fx: dict):
-    universe = get_operad(fx["operad"])
-    got = {universe.render_elem(x): c
-           for slice_ in prefix_graph(universe).iter_hook_slices(fx["max_degree"])
-           for x, c in slice_.items()}
+    got = dict(_operad_hooks(get_operad(fx["operad"]), fx["max_degree"]))
     wanted = fx["coeffs"]
     return got == wanted, f"{len(wanted)} pinned coefficients", str(got)
 
@@ -297,21 +296,16 @@ _CHECKS = {
 }
 
 
-def run_fixture(fx: dict) -> tuple[bool, str, str]:
-    """Returns (ok, expected description, actual description)."""
-    check = _CHECKS.get(fx["kind"])
-    if check is None:
-        raise ValueError(f"unknown fixture kind {fx['kind']!r}")
-    return check(fx)
-
-
 def verify_fixtures(pattern: str | None = None) -> list[tuple[dict, bool, str, str]]:
+    """(fixture, ok, expected, actual) for each fixture whose id has the pattern."""
     results = []
     for fx in load_fixtures():
         if pattern and pattern not in fx["id"]:
             continue
-        ok, wanted, got = run_fixture(fx)
-        results.append((fx, ok, wanted, got))
+        check = _CHECKS.get(fx["kind"])
+        if check is None:
+            raise ValueError(f"unknown fixture kind {fx['kind']!r}")
+        results.append((fx, *check(fx)))
     return results
 
 
@@ -320,18 +314,14 @@ def cmd_verify_fixtures(args) -> int:
     if not results:
         print(f"no fixtures match {args.filter!r}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps([{"id": fx["id"], "ok": ok, "expected": wanted, "actual": got}
-                          for fx, ok, wanted, got in results]))
-    else:
-        for fx, ok, wanted, got in results:
-            if ok:
-                print(f"PASS {fx['id']}  {fx['description']}")
-            else:
-                print(f"FAIL {fx['id']}  expected {wanted}, got {got}")
-        bad = sum(1 for _, ok, _, _ in results if not ok)
-        print(f"{len(results) - bad}/{len(results)} fixtures pass")
-    return 0 if all(ok for _, ok, _, _ in results) else 1
+    bad = sum(1 for _, ok, _, _ in results if not ok)
+    lines = [f"PASS {fx['id']}  {fx['description']}" if ok else
+             f"FAIL {fx['id']}  expected {wanted}, got {got}"
+             for fx, ok, wanted, got in results]
+    return _emit(args, [{"id": fx["id"], "ok": ok, "expected": wanted, "actual": got}
+                        for fx, ok, wanted, got in results],
+                 [*lines, f"{len(results) - bad}/{len(results)} fixtures pass"],
+                 1 if bad else 0, separators=None)
 
 
 # -- parser ------------------------------------------------------------------------
@@ -347,6 +337,32 @@ def _bound(text: str) -> int:
     return value
 
 
+# argument declarations: (flag, add_argument options); _TARGET stands for the
+# required choice between --alphabet and --operad
+_REQUIRED = {"required": True}
+_STORE = {"action": "store_true"}
+_BOUND = {"type": _bound, "required": True}
+_ALPHABET = ("--alphabet", _REQUIRED)
+_MAX = ("--max", _BOUND)
+_GRAPH = ("--graph", {"choices": ("u", "v"), "required": True})
+_TARGET = None
+
+
+def _command(sub, name: str, func, *arguments, **options) -> None:
+    """Add one subcommand: its arguments in order, then --json, then its
+    handler."""
+    p = sub.add_parser(name, **options)
+    for argument in arguments:
+        if argument is _TARGET:
+            target = p.add_mutually_exclusive_group(required=True)
+            target.add_argument("--alphabet")
+            target.add_argument("--operad")
+        else:
+            p.add_argument(argument[0], **argument[1])
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the whole command line, on every call."""
     parser = argparse.ArgumentParser(
@@ -354,96 +370,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact graded graphs, hook statistics and prefix posets "
                     "of decorated trees and operads.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("trees", help="enumerate trees of one degree")
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("--degree", type=_bound, required=True)
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_trees)
-
-    for name, twisted in (("hook", False), ("twisted-hook", True)):
-        p = sub.add_parser(name, help=f"{name} statistic per tree of one degree")
-        p.add_argument("--alphabet", required=True)
-        p.add_argument("--degree", type=_bound, required=True)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=lambda a, twisted=twisted: cmd_hook(a, twisted))
-
-    p = sub.add_parser("paths-series", help="initial multipath counts by rank")
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("--graph", choices=("u", "v"), required=True)
-    p.add_argument("--max", type=_bound, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_paths_series)
-
-    p = sub.add_parser("check-duality", help="verify a diagonal commutator")
-    target = p.add_mutually_exclusive_group(required=True)
-    target.add_argument("--alphabet")
-    target.add_argument("--operad")
-    p.add_argument("--pair", choices=("uv", "uu"), default="uv")
-    p.add_argument("--max", type=_bound, required=True)
-    p.add_argument("--discover-phi", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check_duality)
+    _command(sub, "trees", cmd_trees, _ALPHABET, ("--degree", _BOUND), ("--list", _STORE),
+             help="enumerate trees of one degree")
+    for name, stat in (("hook", hook_closed_form), ("twisted-hook", twisted_hook)):
+        _command(sub, name, partial(cmd_hook, stat=stat), _ALPHABET, ("--degree", _BOUND),
+                 help=f"{name} statistic per tree of one degree")
+    _command(sub, "paths-series", cmd_paths_series, _ALPHABET, _GRAPH, _MAX,
+             help="initial multipath counts by rank")
+    _command(sub, "check-duality", cmd_check_duality, _TARGET,
+             ("--pair", {"choices": ("uv", "uu"), "default": "uv"}), _MAX,
+             ("--discover-phi", _STORE), help="verify a diagonal commutator")
 
     p = sub.add_parser("poset", help="prefix-order operations")
     psub = p.add_subparsers(dest="poset_cmd", required=True)
-    q = psub.add_parser("meet")
-    q.add_argument("--alphabet", required=True)
-    q.add_argument("--left", required=True)
-    q.add_argument("--right", required=True)
-    q.add_argument("--json", action="store_true")
-    q = psub.add_parser("join")
-    q.add_argument("--alphabet", required=True)
-    q.add_argument("--left", required=True)
-    q.add_argument("--right", required=True)
-    q.add_argument("--json", action="store_true")
-    q = psub.add_parser("interval")
-    q.add_argument("--alphabet", required=True)
-    q.add_argument("--lower", required=True)
-    q.add_argument("--upper", required=True)
-    q.add_argument("--elements", action="store_true")
-    q.add_argument("--json", action="store_true")
-    q = psub.add_parser("interval-series")
-    q.add_argument("--alphabet", required=True)
-    q.add_argument("--max", type=_bound, required=True)
-    q.add_argument("--q", type=int, default=None)
-    q.add_argument("--json", action="store_true")
-    q = psub.add_parser("stringy")
-    q.add_argument("--alphabet", required=True)
-    q.add_argument("--max", type=_bound, required=True)
-    q.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_poset)
+    for name, func in (("meet", cmd_meet), ("join", cmd_join)):
+        _command(psub, name, func, _ALPHABET, ("--left", _REQUIRED), ("--right", _REQUIRED))
+    _command(psub, "interval", cmd_interval, _ALPHABET, ("--lower", _REQUIRED),
+             ("--upper", _REQUIRED), ("--elements", _STORE))
+    _command(psub, "interval-series", cmd_interval_series, _ALPHABET, _MAX,
+             ("--q", {"type": int, "default": None}))
+    _command(psub, "stringy", cmd_stringy, _ALPHABET, _MAX)
 
     p = sub.add_parser("operad", help="concrete-operad operations")
     p.add_argument("selector", help="as | dias | comp | motz | fcat:<m>")
     osub = p.add_subparsers(dest="operad_cmd", required=True)
-    for name in ("up", "v", "v-oracle"):
-        q = osub.add_parser(name)
-        q.add_argument("--element", required=True)
-        q.add_argument("--json", action="store_true")
-    q = osub.add_parser("hook")
-    q.add_argument("--max", type=_bound, required=True)
-    q.add_argument("--json", action="store_true")
-    q = osub.add_parser("generators")
-    q.add_argument("--arity-max", type=_bound, required=True)
-    q.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_operad)
+    for name, row in _ROWS.items():
+        _command(osub, name, partial(cmd_operad_row, row=row), ("--element", _REQUIRED))
+    _command(osub, "hook", cmd_operad_hook, _MAX)
+    _command(osub, "generators", cmd_operad_generators, ("--arity-max", _BOUND))
 
-    p = sub.add_parser("export-dot", help="Graphviz or JSON export of a graph")
-    target = p.add_mutually_exclusive_group(required=True)
-    target.add_argument("--alphabet")
-    target.add_argument("--operad")
-    p.add_argument("--graph", choices=("u", "v"), required=True)
-    p.add_argument("--max", type=_bound, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_export_dot)
-
-    p = sub.add_parser("verify-fixtures", help="run the bundled expected-value table")
-    p.add_argument("--filter", default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify_fixtures)
-
+    _command(sub, "export-dot", cmd_export_dot, _TARGET, _GRAPH, _MAX,
+             help="Graphviz or JSON export of a graph")
+    _command(sub, "verify-fixtures", cmd_verify_fixtures, ("--filter", {"default": None}),
+             help="run the bundled expected-value table")
     return parser
 
 

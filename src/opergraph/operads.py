@@ -36,15 +36,6 @@ class OracleBoundError(ValueError):
     """Input too large for a brute-force oracle."""
 
 
-class NotDiagonalError(ValueError):
-    """A commutator which is not a multiple of its argument."""
-
-    def __init__(self, message, element, commutator):
-        super().__init__(message)
-        self.element = element
-        self.commutator = commutator
-
-
 def render_word(u: tuple[int, ...]) -> str:
     if all(a <= 9 for a in u):
         return "".join(str(a) for a in u)
@@ -181,10 +172,12 @@ class AsOperad(Operad):
         return str(x)
 
     def parse_elem(self, text):
-        x = int(text) if text.strip().isdigit() else None
-        if not self.contains(x):
-            raise ValueError(f"{text!r} is not an element of {self.name}")
-        return x
+        try:
+            if self.contains(x := int(text)):
+                return x
+        except ValueError:
+            pass
+        raise ValueError(f"{text!r} is not an element of {self.name}")
 
     def v_explicit(self, x):
         return [x + 1]
@@ -532,29 +525,6 @@ def v_operad_oracle(op: Operad, x, bound: int = 6) -> Combination:
     seen = {evaluate_tree(op, t2)
             for t in treelike_expressions(op, x, bound) for t2 in free.v_explicit(t)}
     return Combination.characteristic(op, seen)
-
-
-# -- duality -------------------------------------------------------------------------
-
-def phi_operad(op: Operad, x, pair: str | None = None) -> int:
-    """The diagonal duality coefficient for the operad's dual pair.
-
-    Requesting the (U,V) pair of the one operad whose commutator is not
-    diagonal raises NotDiagonalError carrying the witness.
-    """
-    pair = pair or op.phi_pair
-    if pair not in ("uv", "uu"):
-        raise ValueError(f"unknown pair {pair!r}")
-    if pair == op.phi_pair:
-        return op.phi(x)
-    if op.name == "dias" and pair == "uv":
-        witness = (1, 0)
-        commutator = prefix_pair(op).duality_commutator(witness)
-        raise NotDiagonalError(
-            f"the (U,V) pair of dias is not diagonal: commutator at "
-            f"{op.render_elem(witness)} is {commutator.render()}",
-            witness, commutator)
-    raise ValueError(f"no diagonal map known for {op.name} with pair {pair!r}")
 
 
 # -- generators and order ---------------------------------------------------------------

@@ -383,6 +383,7 @@ def test_deep_terms_are_usage_errors(capsys, argv):
     (["operad", "comp", "up", "--element", "0a"],
      "expected a word such as 0110 or 0,12,1, got '0a'"),
     (["operad", "as", "up", "--element", "x"], "'x' is not an element of as"),
+    (["operad", "as", "up", "--element", "²"], "'²' is not an element of as"),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
 def test_malformed_text_names_itself_and_the_expected_form(capsys, argv, message):
     assert main(argv) == 2
@@ -414,7 +415,7 @@ TERMS = st.sampled_from(["*", "a[*,*]", "a[*,a[*,*]]", " a [ * , e[*] ] ", "c[*,
 OPERADS = st.sampled_from(["as", "dias", "comp", "motz", "fcat:0", "fcat:2", "FCAT:1",
                            "fcat:", "fcat:x", "fcat:-1", "zzz", ""])
 WORDS = st.sampled_from(["1", "3", "0", "-1", "01", "10", "011", "010", "0110", "0,1,0",
-                         "0120", "2", "", "x", "0,x", "01a"])
+                         "0120", "2", "", "x", "0,x", "01a", "²"])
 BOUNDS = st.sampled_from(["0", "1", "2", "3", "-1", "x", "1.5", ""])
 FILTERS = st.sampled_from(["theta", "stringy", "hook", "interval", "duality-as", "selfdual",
                            "zzz"])
@@ -520,9 +521,9 @@ def test_importing_the_cli_builds_no_parser():
 
 
 def _parse(parser, argv):
-    """What one parse gives: the namespace without its handler (the hook
-    lambdas are new objects on every build), or argparse's exit code with
-    what it printed."""
+    """What one parse gives: the namespace without its handler (the handlers
+    bound with partial are new objects on every build), or argparse's exit
+    code with what it printed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -9,7 +9,7 @@ from opergraph import (LEAF, Alphabet, Combination, Letter, TreeUniverse, compos
                        corolla, enumerate_trees, free_graphs, is_prefix, node, parse_term)
 from opergraph.free_graphs import OracleBoundError
 from opergraph.graded_graph import GradedGraphPair
-from opergraph.operads import (AsOperad, CompOperad, FCatOperad, NotDiagonalError, Operad,
+from opergraph.operads import (AsOperad, CompOperad, FCatOperad, Operad,
                                WordOperad, compose_operad, degree_operad, evaluate_tree,
                                generator_alphabet, get_operad, minimal_generators,
                                operad_poset_leq, prefix_graph, prefix_pair, self_pair,
@@ -330,15 +330,6 @@ def test_phi_examples():
     pair = self_pair(DIAS)
     assert pair.duality_commutator((1, 0)) == Combination(DIAS, {(1, 0): 9})
     assert pair.duality_commutator((0,)) == Combination(DIAS, {(0,): 2})
-
-
-def test_phi_operad_dias_uv_raises():
-    from opergraph.operads import phi_operad
-    assert phi_operad(DIAS, (1, 0)) == 9
-    with pytest.raises(NotDiagonalError) as err:
-        phi_operad(DIAS, (1, 0), pair="uv")
-    assert err.value.element == (1, 0)
-    assert err.value.commutator.coeff((0, 1)) == 2
 
 
 def test_minimal_generators():
