@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 1 a failed verification (with a witness) or a closed
 stdout, 2 usage errors.  ``--json`` gives any subcommand machine output.
-``_command`` declares each leaf subcommand once, with one handler, and every
-handler prints through ``_emit``.  Path series, stringy counts and operad hook
-rows are each computed by one function, which the fixture checks call too.
-``main`` builds the argument parser on its first call and reuses it on every
-later call in the process; ``build_parser`` returns a new one each time.
+``_command`` declares each subcommand once in one command tree (a leaf with
+its handler, a group with the level below it), and every handler prints
+through ``_emit``.  Path series, stringy counts and operad hook rows are each
+computed by one function, which the fixture checks call too.  ``main`` builds
+only the parsers on the command path its line names (the whole tree for
+``--help`` or a missing or unknown command) and keeps each for later calls on
+that path; ``build_parser`` returns a new one each time.
 """
 from __future__ import annotations
 
@@ -348,80 +350,132 @@ _GRAPH = ("--graph", {"choices": ("u", "v"), "required": True})
 _TARGET = None
 
 
-def _command(sub, name: str, func, *arguments, **options) -> None:
-    """Add one subcommand: its arguments in order, then --json, then its
-    handler."""
-    p = sub.add_parser(name, **options)
-    for argument in arguments:
-        if argument is _TARGET:
-            target = p.add_mutually_exclusive_group(required=True)
-            target.add_argument("--alphabet")
-            target.add_argument("--operad")
+def _command(target, *arguments, **options):
+    """One command's declaration: its handler, or for a group the level of
+    subcommands below it; then its arguments in order (a group's are
+    positionals) and its ``add_parser`` options."""
+    return target, arguments, options
+
+
+# the command tree, each level a dict from command name to declaration; a
+# group's subcommand lands in ``<name>_cmd``
+_POSET = {
+    "meet": _command(cmd_meet, _ALPHABET, ("--left", _REQUIRED), ("--right", _REQUIRED)),
+    "join": _command(cmd_join, _ALPHABET, ("--left", _REQUIRED), ("--right", _REQUIRED)),
+    "interval": _command(cmd_interval, _ALPHABET, ("--lower", _REQUIRED),
+                         ("--upper", _REQUIRED), ("--elements", _STORE)),
+    "interval-series": _command(cmd_interval_series, _ALPHABET, _MAX,
+                                ("--q", {"type": int, "default": None})),
+    "stringy": _command(cmd_stringy, _ALPHABET, _MAX),
+}
+_OPERAD = {
+    **{name: _command(partial(cmd_operad_row, row=row), ("--element", _REQUIRED))
+       for name, row in _ROWS.items()},
+    "hook": _command(cmd_operad_hook, _MAX),
+    "generators": _command(cmd_operad_generators, ("--arity-max", _BOUND)),
+}
+_COMMANDS = {
+    "trees": _command(cmd_trees, _ALPHABET, ("--degree", _BOUND), ("--list", _STORE),
+                      help="enumerate trees of one degree"),
+    **{name: _command(partial(cmd_hook, stat=stat), _ALPHABET, ("--degree", _BOUND),
+                      help=f"{name} statistic per tree of one degree")
+       for name, stat in (("hook", hook_closed_form), ("twisted-hook", twisted_hook))},
+    "paths-series": _command(cmd_paths_series, _ALPHABET, _GRAPH, _MAX,
+                             help="initial multipath counts by rank"),
+    "check-duality": _command(cmd_check_duality, _TARGET,
+                              ("--pair", {"choices": ("uv", "uu"), "default": "uv"}), _MAX,
+                              ("--discover-phi", _STORE), help="verify a diagonal commutator"),
+    "poset": _command(_POSET, help="prefix-order operations"),
+    "operad": _command(_OPERAD, ("selector", {"help": "as | dias | comp | motz | fcat:<m>"}),
+                       help="concrete-operad operations"),
+    "export-dot": _command(cmd_export_dot, _TARGET, _GRAPH, _MAX,
+                           help="Graphviz or JSON export of a graph"),
+    "verify-fixtures": _command(cmd_verify_fixtures, ("--filter", {"default": None}),
+                                help="run the bundled expected-value table"),
+}
+
+
+def _add_commands(parser, dest: str, level: dict, path: tuple[str, ...]) -> None:
+    """Add one level of subcommands: all of them when ``path`` is empty,
+    else only ``path[0]``, with only the rest of the path below it.  A level
+    cut to one command keeps every name in its metavar, so usage lines read
+    as they do on the whole tree."""
+    sub = parser.add_subparsers(dest=dest, required=True,
+                                metavar="{" + ",".join(level) + "}" if path else None)
+    for name in path[:1] or level:
+        target, arguments, options = level[name]
+        p = sub.add_parser(name, **options)
+        for argument in arguments:
+            if argument is _TARGET:
+                target_group = p.add_mutually_exclusive_group(required=True)
+                target_group.add_argument("--alphabet")
+                target_group.add_argument("--operad")
+            else:
+                p.add_argument(argument[0], **argument[1])
+        if isinstance(target, dict):
+            _add_commands(p, f"{name}_cmd", target, path[1:])
         else:
-            p.add_argument(argument[0], **argument[1])
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=func)
+            p.add_argument("--json", action="store_true")
+            p.set_defaults(func=target)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the whole command line, on every call."""
+def build_parser(path: tuple[str, ...] = ()) -> argparse.ArgumentParser:
+    """A new parser on every call: for the whole command line, or with only
+    the parsers on one command path, as ``_command_path`` finds it."""
     parser = argparse.ArgumentParser(
         prog="opergraph",
         description="Exact graded graphs, hook statistics and prefix posets "
                     "of decorated trees and operads.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    _command(sub, "trees", cmd_trees, _ALPHABET, ("--degree", _BOUND), ("--list", _STORE),
-             help="enumerate trees of one degree")
-    for name, stat in (("hook", hook_closed_form), ("twisted-hook", twisted_hook)):
-        _command(sub, name, partial(cmd_hook, stat=stat), _ALPHABET, ("--degree", _BOUND),
-                 help=f"{name} statistic per tree of one degree")
-    _command(sub, "paths-series", cmd_paths_series, _ALPHABET, _GRAPH, _MAX,
-             help="initial multipath counts by rank")
-    _command(sub, "check-duality", cmd_check_duality, _TARGET,
-             ("--pair", {"choices": ("uv", "uu"), "default": "uv"}), _MAX,
-             ("--discover-phi", _STORE), help="verify a diagonal commutator")
-
-    p = sub.add_parser("poset", help="prefix-order operations")
-    psub = p.add_subparsers(dest="poset_cmd", required=True)
-    for name, func in (("meet", cmd_meet), ("join", cmd_join)):
-        _command(psub, name, func, _ALPHABET, ("--left", _REQUIRED), ("--right", _REQUIRED))
-    _command(psub, "interval", cmd_interval, _ALPHABET, ("--lower", _REQUIRED),
-             ("--upper", _REQUIRED), ("--elements", _STORE))
-    _command(psub, "interval-series", cmd_interval_series, _ALPHABET, _MAX,
-             ("--q", {"type": int, "default": None}))
-    _command(psub, "stringy", cmd_stringy, _ALPHABET, _MAX)
-
-    p = sub.add_parser("operad", help="concrete-operad operations")
-    p.add_argument("selector", help="as | dias | comp | motz | fcat:<m>")
-    osub = p.add_subparsers(dest="operad_cmd", required=True)
-    for name, row in _ROWS.items():
-        _command(osub, name, partial(cmd_operad_row, row=row), ("--element", _REQUIRED))
-    _command(osub, "hook", cmd_operad_hook, _MAX)
-    _command(osub, "generators", cmd_operad_generators, ("--arity-max", _BOUND))
-
-    _command(sub, "export-dot", cmd_export_dot, _TARGET, _GRAPH, _MAX,
-             help="Graphviz or JSON export of a graph")
-    _command(sub, "verify-fixtures", cmd_verify_fixtures, ("--filter", {"default": None}),
-             help="run the bundled expected-value table")
+    _add_commands(parser, "command", _COMMANDS, tuple(path))
     return parser
 
 
-# the parser ``main`` built on its first call; parse_args leaves a parser as it
-# was, so one serves every later call in the process
-_parser: argparse.ArgumentParser | None = None
+def _command_path(argv) -> tuple[str, ...]:
+    """The command names that argv's leading words spell down to a leaf,
+    past each group's positional arguments (``operad``'s selector); ``()``
+    when they name no leaf, as with ``--help`` or a missing or unknown
+    command.  A skipped word must not start with ``-``, since argparse may
+    read it as an option."""
+    path, level, i = (), _COMMANDS, 0
+    while i < len(argv) and argv[i] in level:
+        target, arguments, _ = level[argv[i]]
+        path += (argv[i],)
+        if not isinstance(target, dict):
+            return path
+        skipped = argv[i + 1:i + 1 + len(arguments)]
+        if len(skipped) < len(arguments) or any(w.startswith("-") for w in skipped):
+            return ()
+        i += 1 + len(arguments)
+        level = target
+    return ()
+
+
+# the parsers ``main`` has built, by command path (``()`` for the whole
+# tree); parse_args leaves a parser as it was, so each serves every later
+# call on its path
+_parsers: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+
+def _parser_for(argv) -> argparse.ArgumentParser:
+    path = _command_path(argv)
+    parser = _parsers.get(path)
+    if parser is None:
+        parser = _parsers[path] = build_parser(path)
+    return parser
 
 
 def main(argv=None) -> int:
     """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and
     return its exit code; argparse's own errors and ``--help`` raise
-    ``SystemExit``.  The parser is built on the first call and reused by
-    every later one, so an in-process call pays only for its command."""
-    global _parser
+    ``SystemExit``.  Only the parsers on the command path the line names
+    are built, the whole tree only for a line that names none, and each is
+    kept for later calls on its path, so an in-process call pays only for
+    its command."""
+    if argv is None:
+        argv = sys.argv[1:]
     try:
         try:
-            if _parser is None:
-                _parser = build_parser()
-            args = _parser.parse_args(argv)
+            args = _parser_for(argv).parse_args(argv)
             return args.func(args)
         except (ValueError, IndexError) as exc:
             print(f"error: {exc}", file=sys.stderr)

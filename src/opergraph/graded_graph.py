@@ -237,11 +237,14 @@ class GradedGraphPair:
         commutator is not a multiple of the element itself.
 
         The check runs one rank slice at a time.  For x of rank r it sums
-        V*U(x) - UV*(x) into one plain dict, from the U row of x, the star
-        rows of ranks r and r+1 and the U rows of rank r-1, each computed
-        once (the rows of rank r-1 are dropped when rank r is done); a
-        ``Combination`` is built only for a failure.  ``duality_commutator``
-        is its independent oracle.
+        the two halves V*U(x) and UV*(x) into plain dicts, from the U row of
+        x, the star rows of ranks r and r+1 and the U rows of rank r-1, each
+        computed once (the rows of rank r-1 are dropped when rank r is
+        done).  When V*(x) is one element of weight 1, UV*(x) is that
+        element's U row itself.  Weights are positive, so neither half holds
+        a zero and the commutator is diagonal when the halves are equal
+        dicts off x; the difference and a ``Combination`` are built only for
+        a failure.  ``duality_commutator`` is its independent oracle.
         """
         mode = "check" if phi is not None else "discover"
         table: dict | None = None if phi is not None else {}
@@ -254,31 +257,45 @@ class GradedGraphPair:
                 row = up(x)
                 if rank < d:  # the rows of the top rank would never be read
                     rows[x] = row
-                acc: dict = {}
+                vu: dict = {}
                 for y, w in row.items():
                     for z, c in star(y):
-                        acc[z] = acc.get(z, 0) + w * c
-                for p, w in star(x):
-                    for z, c in below[p].items():
-                        acc[z] = acc.get(z, 0) - w * c
+                        vu[z] = vu.get(z, 0) + w * c
+                pairs = tuple(star(x))
+                if len(pairs) == 1 and pairs[0][1] == 1:
+                    uv = below[pairs[0][0]]  # held, so never written to
+                else:
+                    uv = {}
+                    for p, w in pairs:
+                        for z, c in below[p].items():
+                            uv[z] = uv.get(z, 0) + w * c
                 checked += 1
-                coeff = acc.pop(x, 0)
-                diagonal = not any(acc.values())
+                # give vu uv's coefficient at x, so == compares them off x
+                coeff = vu.pop(x, 0) - uv.get(x, 0)
+                if x in uv:
+                    vu[x] = uv[x]
+                diagonal = vu == uv
                 if phi is None:
                     if not diagonal:
-                        acc[x] = coeff
                         return DualityReport(False, mode, d, checked, [DualityFailure(
-                            x, Combination(self.universe, acc))], table)
+                            x, self._difference(vu, uv, x, coeff))], table)
                     table[x] = coeff
                     continue
                 expected = phi(x)
                 if not diagonal or coeff != expected:
-                    acc[x] = coeff
                     return DualityReport(False, mode, d, checked, [DualityFailure(
-                        x, Combination(self.universe, acc),
+                        x, self._difference(vu, uv, x, coeff),
                         Combination.unit(self.universe, x, expected))])
             below = rows
         return DualityReport(True, mode, d, checked, [], table)
+
+    def _difference(self, vu: dict, uv: dict, x, coeff: int) -> Combination:
+        """The commutator vu - uv, with ``coeff`` at x."""
+        terms = dict(vu)
+        for z, c in uv.items():
+            terms[z] = terms.get(z, 0) - c
+        terms[x] = coeff
+        return Combination(self.universe, terms)
 
     def check_iterated_identity(self, phi: Callable, n: int,
                                 sample: Iterable) -> IteratedIdentityReport:

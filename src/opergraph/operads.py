@@ -36,10 +36,16 @@ class OracleBoundError(ValueError):
     """Input too large for a brute-force oracle."""
 
 
+_DIGITS = dict(enumerate("0123456789"))
+
+
 def render_word(u: tuple[int, ...]) -> str:
-    if all(a <= 9 for a in u):
-        return "".join(str(a) for a in u)
-    return ",".join(str(a) for a in u)
+    """Letters 0-9 written as digits side by side, else every letter
+    comma-separated.  The sort key of every word-operad slice."""
+    try:
+        return "".join(map(_DIGITS.__getitem__, u))
+    except KeyError:  # a letter of 10 or more
+        return ",".join(map(str, u))
 
 
 def parse_word(text: str) -> tuple[int, ...]:

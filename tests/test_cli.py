@@ -489,62 +489,134 @@ def test_random_command_lines_keep_the_exit_code_contract(argv):
         assert out.getvalue() == "", argv
 
 
-# -- one parser per process ---------------------------------------------------------
+# -- one parser per command path ---------------------------------------------------
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):
-    """A success, an argparse error and a ValueError exit share one build."""
+    """Each command path's parser is built on its first call and kept: a
+    success, an argparse error and a ValueError exit on two paths, and two
+    lines that name no command, make three builds."""
     build, builds = cli.build_parser, []
 
-    def counting_build():
-        builds.append(None)
-        return build()
+    def counting_build(path=()):
+        builds.append(path)
+        return build(path)
 
     monkeypatch.setattr(cli, "build_parser", counting_build)
-    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_parsers", {})
     assert main(["trees", "--alphabet", "a:2", "--degree", "2"]) == 0
-    with pytest.raises(SystemExit) as err:
-        main(["paths-series", "--alphabet", "a:2"])
-    assert err.value.code == 2
+    for argv, code in ((["paths-series", "--alphabet", "a:2"], 2), (["no-such-command"], 2),
+                       (["-h"], 0)):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == code
     assert main(["trees", "--alphabet", "zz", "--degree", "2"]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
-    assert len(builds) == 1
+    assert builds == [("trees",), ("paths-series",), ()]
     assert build() is not build()
 
 
-def test_importing_the_cli_builds_no_parser():
+def _child(script, *argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
                                                                     os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c",
-                           "import opergraph.cli as cli; print(cli._parser is None)"],
+    return subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, text=True, env=env, timeout=30)
-    assert proc.stdout.split() == ["True"], proc.stderr
+
+
+# counts every argparse.ArgumentParser made in a fresh process, subparsers
+# included, up to the import of the CLI and then after one main call
+COUNTING_CHILD = """
+import argparse, contextlib, io, sys
+made = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    made.append(None)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import opergraph.cli as cli
+print(len(made))
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(len(made))
+"""
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = _child(COUNTING_CHILD, "trees", "--alphabet", "a:2", "--degree", "0")
+    assert proc.stdout.splitlines()[0] == "0", proc.stderr
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["check-duality", "--operad", "comp", "--max", "2"], 2),
+    (["poset", "meet", "--alphabet", "a:2", "--left", "*", "--right", "*"], 3),
+    (["operad", "as", "up", "--element", "3"], 3),
+    (["--help"], 20),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+def test_a_cold_call_builds_only_the_parsers_on_its_path(argv, parsers):
+    """A command line builds the top parser and one per word of its command
+    path; only a line that names no command builds all 20."""
+    proc = _child(COUNTING_CHILD, *argv)
+    assert proc.stdout.splitlines() == ["0", str(parsers)], proc.stderr
 
 
 def _parse(parser, argv):
-    """What one parse gives: the namespace without its handler (the handlers
-    bound with partial are new objects on every build), or argparse's exit
-    code with what it printed."""
+    """What one parse gives: the namespace, handler included, or argparse's
+    exit code with what it printed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            namespace = vars(parser.parse_args(argv))
+            return "parsed", vars(parser.parse_args(argv))
         except SystemExit as exc:
             return "exit", exc.code, out.getvalue(), err.getvalue()
-    namespace.pop("func", None)
-    return "parsed", namespace
 
 
-def _held_parser():
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["trees", "--alphabet", "a:2", "--degree", "0"]) == 0
-    return cli._parser
+# --help at every level, -h before a command, a word after a leaf command, an
+# invalid choice at each level, groups without their subcommand or selector,
+# and words that look like options where a command or selector is expected
+PATH_CASES = [
+    ["--help"], ["trees", "--help"], ["hook", "--help"], ["twisted-hook", "--help"],
+    ["paths-series", "--help"], ["check-duality", "--help"], ["poset", "--help"],
+    ["poset", "meet", "--help"], ["poset", "join", "--help"], ["poset", "interval", "--help"],
+    ["poset", "interval-series", "--help"], ["poset", "stringy", "--help"],
+    ["operad", "as", "--help"], ["operad", "as", "up", "--help"],
+    ["operad", "as", "v", "--help"], ["operad", "as", "v-oracle", "--help"],
+    ["operad", "as", "hook", "--help"], ["operad", "as", "generators", "--help"],
+    ["export-dot", "--help"], ["verify-fixtures", "--help"],
+    ["-h", "trees"], ["-h", "check-duality", "--operad", "comp", "--max", "2"],
+    ["poset", "-h", "meet"], ["operad", "as", "-h", "up"], ["operad", "-h", "as", "up"],
+    ["trees", "--alphabet", "a:2", "--degree", "2", "extra"],
+    ["check-duality", "--operad", "comp", "--max", "2", "extra"],
+    ["poset", "meet", "--alphabet", "a:2", "--left", "*", "--right", "*", "extra"],
+    ["operad", "as", "up", "--element", "3", "extra"],
+    ["zzz"], ["poset", "zzz"], ["operad", "as", "zzz"],
+    ["check-duality", "--operad", "comp", "--pair", "vu", "--max", "2"],
+    ["paths-series", "--alphabet", "a:2", "--graph", "w", "--max", "2"],
+    [], ["poset"], ["operad"], ["operad", "as"], ["operad", "up", "--element", "3"],
+    ["check-duality", "--operad", "comp", "--max", "x"], ["check-duality", "--max", "2"],
+    ["check-duality", "--alphabet", "a:2", "--operad", "comp", "--max", "2"],
+    ["--json", "trees", "--alphabet", "a:2", "--degree", "2"],
+    ["poset", "--json", "stringy", "--alphabet", "a:2", "--max", "2"],
+    ["operad", "--json", "up", "--element", "3"], ["operad", "-1", "up", "--element", "3"],
+    ["operad", "--element", "hook", "--max", "2"], ["operad", "", "hook", "--max", "1"],
+    ["operad", "as", "--json", "up", "--element", "3"], ["--", "trees"],
+    ["trees", "--alphabet", "a:2", "--degree", "2", "--json", "--list"],
+]
+
+
+@pytest.mark.parametrize("argv", PATH_CASES, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_a_command_path_parser_parses_as_the_whole_tree(argv):
+    """The parser built for a line's command path gives the namespace, or
+    the exit code, help text and error, that the whole tree gives."""
+    path_parser = cli.build_parser(cli._command_path(argv))
+    assert _parse(path_parser, argv) == _parse(cli.build_parser(), argv)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(ARGVS, min_size=2, max_size=5))
 def test_the_held_parser_carries_nothing_between_calls(argvs):
-    """Command lines fed in turn to the held parser parse, fail and print
-    help exactly as each would on a new parser."""
-    held = _held_parser()
+    """Command lines fed in turn to the parsers main holds parse, fail and
+    print help exactly as each would on a new parser for the whole tree."""
     for argv in argvs:
-        assert _parse(held, argv) == _parse(cli.build_parser(), argv), argv
+        assert _parse(cli._parser_for(argv), argv) == _parse(cli.build_parser(), argv), argv

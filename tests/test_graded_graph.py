@@ -260,6 +260,28 @@ def test_discovery_matches_the_oracle_on_free_pairs(text, kind):
     assert summary(report) == reference_report(pair, None, 4)
 
 
+@pytest.mark.parametrize("selector,kind", OPERAD_PAIRS)
+def test_check_matches_the_oracle_on_operads(selector, kind):
+    """With the operad's phi (on the pair it is not for, a failure) and with
+    phi off by one at the last element of rank 3."""
+    op, pair = operad_pair(selector, kind)
+    target = op.elements_of_rank(3)[-1]
+    for phi in (op.phi, lambda x: op.phi(x) + (x == target)):
+        report = pair.check_phi_diagonal(phi, 4)
+        assert report.mode == "check"
+        assert summary(report) == reference_report(pair, phi, 4)
+
+
+@pytest.mark.parametrize("text,kind", FREE_PAIRS)
+def test_check_matches_the_oracle_on_free_pairs(text, kind):
+    alphabet = Alphabet.parse(text)
+    pair = (prefix_pair if kind == "uv" else self_pair)(alphabet)
+    target = enumerate_trees(alphabet, 3)[-1]
+    for phi in (lambda t: phi_free(t, alphabet), lambda t: phi_free(t, alphabet) + (t is target)):
+        report = pair.check_phi_diagonal(phi, 4)
+        assert summary(report) == reference_report(pair, phi, 4)
+
+
 def test_two_letter_self_pair_failure_matches_the_oracle(a2b2):
     pair = self_pair(a2b2)
     report = pair.check_phi_diagonal(None, 2)

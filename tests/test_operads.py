@@ -12,8 +12,9 @@ from opergraph.graded_graph import GradedGraphPair
 from opergraph.operads import (AsOperad, CompOperad, FCatOperad, Operad,
                                WordOperad, compose_operad, degree_operad, evaluate_tree,
                                generator_alphabet, get_operad, minimal_generators,
-                               operad_poset_leq, prefix_graph, prefix_pair, self_pair,
-                               treelike_expressions, twisted_graph, v_operad_oracle)
+                               operad_poset_leq, prefix_graph, prefix_pair, render_word,
+                               self_pair, treelike_expressions, twisted_graph,
+                               v_operad_oracle)
 
 AS = get_operad("as")
 DIAS = get_operad("dias")
@@ -25,6 +26,26 @@ FCAT2 = get_operad("fcat:2")
 
 def elements_up_to(op, d):
     return [x for k in range(d + 1) for x in op.elements_of_rank(k)]
+
+
+def reference_render_word(u):
+    """The two joins of str(letter) that render_word's digit lookup replaces."""
+    if all(a <= 9 for a in u):
+        return "".join(str(a) for a in u)
+    return ",".join(str(a) for a in u)
+
+
+@pytest.mark.parametrize("selector", ["dias", "comp", "motz", "fcat:0", "fcat:1", "fcat:2",
+                                      "fcat:3"])
+def test_render_word_matches_the_joins_on_every_word_to_rank_5(selector):
+    words = elements_up_to(get_operad(selector), 5)
+    assert [render_word(u) for u in words] == [reference_render_word(u) for u in words]
+
+
+@pytest.mark.parametrize("u", [(10,), (0, 10), (0, 1, 12, 1, 0), (9, 10, 9), (0, 123),
+                               (11, 0), (0, 9, 8), ()])
+def test_render_word_matches_the_joins_on_wide_letters(u):
+    assert render_word(u) == reference_render_word(u)
 
 
 def test_selectors_and_codec():
