@@ -29,7 +29,9 @@ README = HERE.parent / "README.md"
 # (motz and dias twisted, and the two self pairs that fail); then the --json
 # output of every subcommand the lines above print only plain, an oracle row,
 # a join with no upper bound, an unevaluated interval series and operad
-# generators in plain text
+# generators in plain text; then path series whose top rank has trees the
+# rank below never shows (three letter arities), a degree-0 series and the
+# series of the empty alphabet
 EXTRA = [
     "export-dot --alphabet a:2 --graph v --max 3",
     "export-dot --alphabet a:2 --graph u --max 2 --json",
@@ -83,6 +85,10 @@ EXTRA = [
     "poset join --alphabet a:2,b:2 --left 'a[*,*]' --right 'b[*,*]' --json",
     "poset interval-series --alphabet a:2,c:3 --max 4",
     "operad motz generators --arity-max 5",
+    "paths-series --alphabet e:1,a:2,c:3 --graph v --max 6",
+    "paths-series --alphabet e:1,a:2,c:3 --graph u --max 6 --json",
+    "paths-series --alphabet a:2 --graph v --max 0",
+    "paths-series --alphabet '' --graph v --max 3",
 ]
 
 
