@@ -10,6 +10,12 @@ rows, and a ``Combination`` is built only where a public method returns
 one.  The diagonal duality check runs one rank slice at a time, with
 ``GradedGraphPair.duality_commutator`` as its independent oracle.  The
 graphs of every operad, trees included, come from the builders in ``operads``.
+
+A graph also carries its out-degree map, the weight sum of each up row.
+Because star is the adjoint of up, the hooks of rank d sum to the sum over x
+of rank d-1 of hook(x) * outdeg(x), so ``initial_paths_series(d)`` never
+builds rank d.  ``hook_series_up_to`` and ``returning_paths_series`` need a
+hook for each element of rank d, so they still build it.
 """
 from __future__ import annotations
 
@@ -23,12 +29,15 @@ from .series import Series2
 class GradedGraph:
     """The star map ``_star`` sends x to the (element, weight) pairs of the
     adjoint row, each element once with a positive int weight.  A star row
-    is read once: a closed form may return an iterator."""
+    is read once: a closed form may return an iterator.  ``outdegree`` sends
+    x to the weight sum of its up row, in closed form."""
 
-    def __init__(self, universe, up: Callable, *, name: str, star: Callable | None = None):
+    def __init__(self, universe, up: Callable, *, name: str, outdegree: Callable,
+                 star: Callable | None = None):
         self.universe = universe
         self.name = name
         self._up = up
+        self._outdegree = outdegree
         self._reverse: dict = {}
         self._reverse_ranks: set[int] = set()
         self._star = star or self._table_row
@@ -114,9 +123,19 @@ class GradedGraph:
 
     def initial_paths_series(self, d: int) -> Series2:
         """Trace of the hook series: coefficient of t^r counts the initial
-        multipaths of length r."""
-        return Series2({(0, rank): sum(slice_.values())
-                        for rank, slice_ in enumerate(self.iter_hook_slices(d))})
+        multipaths of length r.
+
+        Ranks 0..d-1 sum their hook slices.  Every path of length d ends in
+        an edge out of rank d-1, so the coefficient of t^d is the sum over x
+        of rank d-1 of hook(x) * outdeg(x): rank d is never built.
+        """
+        terms: dict = {}
+        for rank, slice_ in enumerate(self.iter_hook_slices(d - 1)):
+            terms[(0, rank)] = sum(slice_.values())
+        if d > 0:
+            outdegree = self._outdegree
+            terms[(0, d)] = sum(h * outdegree(x) for x, h in slice_.items())
+        return Series2(terms)
 
     # -- structural checks ----------------------------------------------------------
 

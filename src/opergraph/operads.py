@@ -17,6 +17,12 @@ the chain, comp and fcat:m the twisted one (a word comes from its prefix).
 Elsewhere the graph reads a reverse-edge table, and ``up_adjoint`` reads it
 for every graph: the oracle for every closed form.
 
+Each graph also takes the weight sum of an up row, in closed form.
+``up_outdegree(x)`` is ``len(generators) * arity(x)``, since every up row
+grafts each generator at each position, trees included.  ``v_outdegree(x)``
+is ``len(v_explicit(x))``; the trees count the places where ``v_explicit``
+puts a new root, and build no tree.  The row sums are the tests' oracle.
+
 The graph builders at the end of this module are the only ones.  They take
 any operad, the free ones included.
 """
@@ -113,6 +119,14 @@ class Operad:
         for y in self.v_explicit(x):
             row[y] = row.get(y, 0) + 1
         return row
+
+    def up_outdegree(self, x) -> int:
+        """Weight sum of the up row: each generator at each position."""
+        return len(self.generators) * self.arity(x)
+
+    def v_outdegree(self, x) -> int:
+        """Weight sum of the twisted row."""
+        return len(self.v_explicit(x))
 
     # -- codec ----------------------------------------------------------------
 
@@ -379,8 +393,8 @@ class TreeUniverse(Operad):
     """The free nonsymmetric operad on an alphabet: trees graded by degree,
     composed by grafting onto the i-th leaf, generated by the corollas in
     alphabet order.  Its slices come from ``tree.enumerate_trees`` (so the
-    base slice cache is never built), and it adds both star rows in closed
-    form."""
+    base slice cache is never built), and it adds both star rows and the
+    twisted out-degree in closed form."""
 
     unit = LEAF
 
@@ -436,6 +450,17 @@ class TreeUniverse(Operad):
             for j in range(len(kids) - 1, 0, -1):
                 stack.append((kids[j], spine + ((sub, j),)))
         return out
+
+    def v_outdegree(self, t: SyntaxTree) -> int:
+        """``len(v_explicit(t))``: a new root for each letter above each node,
+        leaves included, reached from the root through children past the
+        first.  The walk keeps an explicit stack and builds no tree."""
+        count = 0
+        stack = [t]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().children[1:])
+        return len(self.alphabet) * count
 
     def phi(self, t: SyntaxTree) -> int:
         """Diagonal coefficient making the prefix/twisted pair dual."""
@@ -565,12 +590,14 @@ def operad_poset_leq(op: Operad, x, y) -> bool:
 @lru_cache(maxsize=None)
 def prefix_graph(op: Operad) -> GradedGraph:
     """Grafting graph of any operad, the free ones (``TreeUniverse``) included."""
-    return GradedGraph(op, op.up_row, star=op.up_star, name=f"prefix({op.name})")
+    return GradedGraph(op, op.up_row, star=op.up_star, outdegree=op.up_outdegree,
+                       name=f"prefix({op.name})")
 
 
 @lru_cache(maxsize=None)
 def twisted_graph(op: Operad) -> GradedGraph:
-    return GradedGraph(op, op.v_row, star=op.v_star, name=f"twisted({op.name})")
+    return GradedGraph(op, op.v_row, star=op.v_star, outdegree=op.v_outdegree,
+                       name=f"twisted({op.name})")
 
 
 def prefix_pair(op: Operad) -> GradedGraphPair:

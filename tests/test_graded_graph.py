@@ -122,11 +122,57 @@ def test_dias_hooks_in_canonical_order():
         [1, 1, 1, 3, 2, 3, 15, 9, 9, 15, 105, 60, 54, 60, 105]
 
 
-def test_initial_paths_series_is_the_hook_trace(a2c3):
-    for build in (prefix_graph, twisted_graph):
-        graph = build(a2c3)
-        assert graph.initial_paths_series(4).t_coeff_list(4) == \
-            graph.hook_series_up_to(4).trace().t_coeff_list(4)
+TRACE_UNIVERSES = ([get_operad(sel) for sel in ("as", "dias", "comp", "motz",
+                                                "fcat:0", "fcat:1", "fcat:2", "fcat:3")]
+                   + [operads.TreeUniverse(Alphabet.parse(text))
+                      for text in ("a:2", "c:3", "a:2,b:2", "a:2,c:3", "e:1,a:2,c:3")])
+
+
+def test_initial_paths_series_is_the_hook_trace():
+    """The top coefficient, from the hooks of rank d-1 and the out-degrees,
+    is the sum of the hooks of rank d, for every d to 5."""
+    for universe in TRACE_UNIVERSES:
+        for build in (operads.prefix_graph, operads.twisted_graph):
+            graph = build(universe)
+            trace = graph.hook_series_up_to(5).trace().t_coeff_list(5)
+            for d in range(6):
+                assert graph.initial_paths_series(d).t_coeff_list(d) == trace[:d + 1], \
+                    (graph.name, d)
+
+
+@pytest.mark.parametrize("universe", TRACE_UNIVERSES, ids=lambda u: u.name)
+def test_outdegrees_are_the_row_weight_sums(universe):
+    for rank in range(5):
+        for x in universe.elements_of_rank(rank):
+            assert universe.up_outdegree(x) == sum(universe.up_row(x).values()), x
+            assert universe.v_outdegree(x) == sum(universe.v_row(x).values()), x
+
+
+TOP_RANK_CASES = {
+    "a:2,c:3-u": (lambda: operads.TreeUniverse(Alphabet.parse("a:2,c:3")), operads.prefix_graph,
+                  [1, 2, 10, 82, 938, 13778, 247210]),
+    "a:2,c:3-v": (lambda: operads.TreeUniverse(Alphabet.parse("a:2,c:3")), operads.twisted_graph,
+                  [1, 2, 10, 70, 606, 6210, 73842]),
+    "motz-u": (operads.MotzOperad, operads.prefix_graph, [1, 2, 10, 82, 938, 13778, 247210]),
+    "motz-v": (operads.MotzOperad, operads.twisted_graph, [1, 2, 6, 26, 150, 1082, 9366]),
+}
+
+
+@pytest.mark.parametrize("case", TOP_RANK_CASES)
+def test_initial_paths_series_never_builds_the_top_rank(monkeypatch, case):
+    make_universe, build, expected = TOP_RANK_CASES[case]
+    universe = make_universe()
+    top = len(expected) - 1
+    elements_of_rank = universe.elements_of_rank
+
+    def below_the_top(rank):
+        if rank >= top:
+            raise AssertionError(f"rank {rank} was built")
+        return elements_of_rank(rank)
+
+    monkeypatch.setattr(universe, "elements_of_rank", below_the_top)
+    graph = build.__wrapped__(universe)  # a graph of its own, not the cached one
+    assert graph.initial_paths_series(top).t_coeff_list(top) == expected
 
 
 def test_returning_hooks_free_pair_by_path_pairs(a2):

@@ -478,6 +478,15 @@ def test_twisted_successors_match_the_recursive_reference(text):
             assert Counter(free.v_explicit(t)) == Counter(_v_explicit_recursive(free, t)), t
 
 
+def test_tree_v_outdegree_takes_a_comb_100000_deep(eac):
+    """The root and every second child, down to the last leaf, each take a
+    new root per letter; the walk keeps a stack, so depth is no limit."""
+    comb = LEAF
+    for _ in range(100_000):
+        comb = node(eac["a"], (LEAF, comb))
+    assert TreeUniverse(eac).v_outdegree(comb) == len(eac) * 100_001
+
+
 def test_membership_rejects_a_foreign_letter_at_any_depth(eac):
     free = TreeUniverse(eac)
     foreign = Letter("b", 2)
