@@ -4,8 +4,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .series import Series2
-
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
@@ -103,15 +101,6 @@ class Alphabet:
 
     def render(self) -> str:
         return ",".join(str(letter) for letter in self.letters)
-
-    def gen_poly(self) -> Series2:
-        """Counting polynomial: the coefficient of t^k is the number of
-        letters of arity k."""
-        counts: dict[tuple[int, int], int] = {}
-        for letter in self.letters:
-            key = (0, letter.arity)
-            counts[key] = counts.get(key, 0) + 1
-        return Series2(counts)
 
     def max_arity(self) -> int:
         return max((letter.arity for letter in self.letters), default=0)

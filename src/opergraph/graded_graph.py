@@ -112,9 +112,6 @@ class GradedGraph:
             yield cur
             prev = cur
 
-    def hook_slices(self, d: int) -> list[dict]:
-        return list(self.iter_hook_slices(d))
-
     def hook_series_up_to(self, d: int) -> Combination:
         terms: dict = {}
         for slice_ in self.iter_hook_slices(d):

@@ -68,15 +68,6 @@ def difference_forest(s: SyntaxTree, t: SyntaxTree) -> Forest:
     return tuple(out)
 
 
-def render_forest(forest: Forest) -> str:
-    return ";".join(t.term for t in forest)
-
-
-def parse_forest(text: str, alphabet: Alphabet) -> Forest:
-    from .tree import parse_term
-    return tuple(parse_term(chunk, alphabet) for chunk in text.split(";"))
-
-
 # -- shadows ---------------------------------------------------------------------
 
 class Shadow:

@@ -219,7 +219,7 @@ def test_criterion_11_operad_hook_fixtures():
             assert ok, (fx["id"], wanted, got)
     # comp hooks are the factorials of the degree, through degree 5
     comp = get_operad("comp")
-    slices = operads.prefix_graph(comp).hook_slices(5)
+    slices = operads.prefix_graph(comp).iter_hook_slices(5)
     for d, slice_ in enumerate(slices):
         assert all(c == math.factorial(d) for c in slice_.values())
     _report(11, "operad hook tables", started)

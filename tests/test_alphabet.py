@@ -26,21 +26,6 @@ def test_letter_validation():
         Letter("#5", 5)
 
 
-def test_gen_poly():
-    assert Alphabet.parse("a:2").gen_poly().coeff(0, 2) == 1
-    poly = Alphabet.parse("a:2,c:3").gen_poly()
-    assert poly.t_coeff_list() == [0, 0, 1, 1]
-    assert Alphabet(()).gen_poly().t_coeff_list() == [0]
-
-
-def test_gen_poly_counts_letters_and_arities():
-    # evaluation at 1 counts letters; the derivative at 1 sums arities
-    alphabet = Alphabet.parse("e:1,a:2,b:2,c:3")
-    coeffs = alphabet.gen_poly().t_coeff_list()
-    assert sum(coeffs) == len(alphabet) == 4
-    assert sum(k * c for k, c in enumerate(coeffs)) == 1 + 2 + 2 + 3
-
-
 def test_max_arity():
     assert Alphabet.parse("a:2,c:3").max_arity() == 3
     assert Alphabet.parse("e:1").max_arity() == 1

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -323,6 +324,30 @@ def test_a_closed_stdout_ends_quietly():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("m, code", [("10000", 0), ("10001", 2), ("99999999999999999999", 2)])
+def test_fcat_m_past_the_limit_is_a_usage_error(m, code):
+    """fcat:<m> builds its m + 1 generators at once, so an m past the limit is
+    refused before anything is built.  Each run is capped at 1 GB of address
+    space, where building too many generators fails fast instead of taking
+    the machine's memory."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                                    os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "opergraph.cli", "operad", f"fcat:{m}", "up",
+                           "--element", "0"],
+                          capture_output=True, text=True, env=env, preexec_fn=_cap_memory)
+    assert proc.returncode == code
+    if code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: fcat:<m> takes m up to 10000, got 'fcat:{m}'\n"
+    else:
+        assert proc.stderr == ""
+        assert len(proc.stdout.split(" + ")) == 10001
 
 
 def test_deep_duality_check_does_not_recurse(capsys):

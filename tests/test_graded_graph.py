@@ -64,7 +64,7 @@ def test_star_rows_match_up_adjoint(build, universe, d):
         expected.append({x: sum(w * expected[-1].get(p, 0)
                                 for p, w in graph.up_adjoint(x).items())
                          for x in universe.elements_of_rank(rank)})
-    assert graph.hook_slices(d) == expected
+    assert list(graph.iter_hook_slices(d)) == expected
     for rank in range(d + 1):
         for x in universe.elements_of_rank(rank):
             assert graph.star(x) == graph.up_adjoint(x)

@@ -10,7 +10,7 @@ from opergraph import (LEAF, Alphabet, Combination, Letter, TreeUniverse, compos
 from opergraph.free_graphs import OracleBoundError
 from opergraph.graded_graph import GradedGraphPair
 from opergraph.operads import (AsOperad, CompOperad, FCatOperad, Operad,
-                               WordOperad, compose_operad, degree_operad, evaluate_tree,
+                               WordOperad, evaluate_tree,
                                generator_alphabet, get_operad, minimal_generators,
                                operad_poset_leq, prefix_graph, prefix_pair, render_word,
                                self_pair, treelike_expressions, twisted_graph,
@@ -65,13 +65,9 @@ def test_selectors_and_codec():
 
 
 def test_compose_examples():
-    assert compose_operad(AS, 3, 2, 2) == 4
-    assert compose_operad(COMP, (0, 0), 1, (0, 1)) == (0, 1, 0)
-    assert compose_operad(DIAS, (1, 0), 2, (1, 0)) == (1, 1, 0)
-    with pytest.raises(IndexError):
-        compose_operad(AS, 2, 3, 2)
-    with pytest.raises(ValueError):
-        compose_operad(COMP, (1, 0), 1, (0,))
+    assert AS.compose(3, 2, 2) == 4
+    assert COMP.compose((0, 0), 1, (0, 1)) == (0, 1, 0)
+    assert DIAS.compose((1, 0), 2, (1, 0)) == (1, 1, 0)
 
 
 def test_unit_axioms_sampled():
@@ -113,12 +109,12 @@ def test_dias_presentation_relations():
 
 
 def test_degree_examples():
-    assert degree_operad(MOTZ, (0, 1, 0, 1, 0)) == 2
-    assert degree_operad(COMP, (0, 1, 1, 0)) == 3
+    assert MOTZ.degree((0, 1, 0, 1, 0)) == 2
+    assert COMP.degree((0, 1, 1, 0)) == 3
     for op in (AS, DIAS, COMP, MOTZ, FCAT1):
-        assert degree_operad(op, op.unit) == 0
+        assert op.degree(op.unit) == 0
         for g in op.generators:
-            assert degree_operad(op, g) == 1
+            assert op.degree(g) == 1
 
 
 def test_elements_of_degree_and_arity():
@@ -219,8 +215,8 @@ def test_closed_form_stars_fill_no_reverse_edge_table(universe):
     pair = GradedGraphPair(prefix_graph.__wrapped__(universe),
                            twisted_graph.__wrapped__(universe))
     assert pair.check_phi_diagonal(universe.phi, 4).ok
-    pair.u.hook_slices(4)
-    pair.v.hook_slices(4)
+    list(pair.u.iter_hook_slices(4))
+    list(pair.v.iter_hook_slices(4))
     closed = [pair.u, pair.v] if isinstance(universe, TreeUniverse) else [pair.v]
     for graph in (pair.u, pair.v):
         filled = (graph._reverse, graph._reverse_ranks) != ({}, set())
@@ -437,7 +433,7 @@ def test_universe_equality_includes_the_type():
     def hooks(op):
         graph = prefix_graph(op)
         assert graph.universe is op
-        return {op.render_elem(x): c for s in graph.hook_slices(3) for x, c in s.items()}
+        return {op.render_elem(x): c for s in graph.iter_hook_slices(3) for x, c in s.items()}
 
     chain = ["*", "fcat[*]", "fcat[fcat[*]]", "fcat[fcat[fcat[*]]]"]
     assert hooks(free) == dict.fromkeys(chain, 1)
