@@ -47,3 +47,15 @@ def interval_series_by_iteration(alphabet, n):
             return f
         f = nxt
     raise AssertionError(f"the iteration did not settle at t-order {n}")
+
+
+def tree_series_by_iteration(alphabet, n):
+    """S = 1 + t*R(S) mod t^(n+1) as a ``{(0, j): c}`` map, applied to S
+    until S stops changing; its t^j coefficient counts the trees of degree j."""
+    s = {}
+    for _ in range(n + 3):
+        nxt = _plus({(0, 0): 1}, {(i, j + 1): c for (i, j), c in _r(alphabet, s, n).items() if j < n})
+        if nxt == s:
+            return s
+        s = nxt
+    raise AssertionError(f"the iteration did not settle at t-order {n}")

@@ -2,7 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from opergraph import Series2
+from opergraph import Alphabet, Series2, enumerate_trees
+
+from series_oracle import interval_series_by_iteration, tree_series_by_iteration
+
+
+def test_fixed_point_tree_counts_mixed():
+    a2c3 = Alphabet.parse("a:2,c:3")
+    series = tree_series_by_iteration(a2c3, 6)
+    counts = [len(enumerate_trees(a2c3, d)) for d in range(7)]
+    assert [series.get((0, d), 0) for d in range(7)] == counts == [1, 2, 10, 66, 498, 4066, 34970]
+    # the q^0 row of the interval series solves the same equation
+    interval = interval_series_by_iteration(a2c3, 6)
+    assert {key: c for key, c in interval.items() if key[0] == 0} == series
 
 
 def test_fractions_are_rejected():
