@@ -115,7 +115,7 @@ def cmd_check_duality(args) -> int:
             f"ok: diagonal duality verified on {report.checked} elements "
             f"up to rank {args.max}",
             *(f"phi {name} = {c}" for name, c in payload.get("phi", ()))])
-    failure = report.witness()
+    failure = report.witness
     payload = {"ok": False, "witness": render(failure.element),
                "commutator": failure.commutator.to_json()}
     if failure.expected is not None:
@@ -264,7 +264,7 @@ def _check_duality(fx: dict):
            if fx["kind"] == "free_self_duality" else universe.phi)
     report = pair.check_phi_diagonal(phi, fx["max_degree"])
     return report.ok, "diagonal", "diagonal" if report.ok else \
-        report.witness().render(universe)
+        report.witness.render(universe)
 
 
 def _check_witness(fx: dict):
@@ -273,7 +273,7 @@ def _check_witness(fx: dict):
     report = pair.check_phi_diagonal(None, fx["max_degree"])
     if report.ok:
         return False, "a non-diagonal witness", "diagonal everywhere"
-    witness = report.witness()
+    witness = report.witness
     render = universe.render_elem
     wanted, got = fx["witness"], render(witness.element)
     ok = got == wanted
@@ -483,6 +483,12 @@ def main(argv=None) -> int:
         except RecursionError:
             # the tree walks that still recurse reach here on very deep terms
             print("error: the input nests too deeply", file=sys.stderr)
+            return 2
+        except MemoryError:
+            # a rank slice too large to build; an uncapped process may be
+            # killed by the system before Python can raise this
+            print("error: out of memory; try a smaller rank or operad",
+                  file=sys.stderr)
             return 2
         finally:
             sys.stdout.flush()  # a closed stdout shows here, --help included

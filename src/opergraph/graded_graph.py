@@ -19,7 +19,7 @@ hook for each element of rank d, so they still build it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .poly import Combination
@@ -204,23 +204,17 @@ class DualityFailure:
 
 @dataclass
 class DualityReport:
-    ok: bool
-    mode: str
-    max_rank: int
+    """``checked`` counts the elements compared, a failing one included;
+    ``witness`` is the first failure, None when every element passed.  In
+    discovery mode ``table`` holds the diagonal coefficient of each element
+    that passed; a check against a given phi leaves it None."""
     checked: int
-    failures: list[DualityFailure] = field(default_factory=list)
+    witness: DualityFailure | None = None
     table: dict | None = None
 
-    def witness(self) -> DualityFailure | None:
-        return self.failures[0] if self.failures else None
-
-
-@dataclass
-class IteratedIdentityReport:
-    ok: bool
-    n: int
-    checked: int
-    failures: list = field(default_factory=list)
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
 
 class GradedGraphPair:
@@ -262,7 +256,6 @@ class GradedGraphPair:
         dicts off x; the difference and a ``Combination`` are built only for
         a failure.  ``duality_commutator`` is its independent oracle.
         """
-        mode = "check" if phi is not None else "discover"
         table: dict | None = None if phi is not None else {}
         up, star = self.u._up, self.v._star
         checked = 0
@@ -293,17 +286,17 @@ class GradedGraphPair:
                 diagonal = vu == uv
                 if phi is None:
                     if not diagonal:
-                        return DualityReport(False, mode, d, checked, [DualityFailure(
-                            x, self._difference(vu, uv, x, coeff))], table)
+                        return DualityReport(checked, DualityFailure(
+                            x, self._difference(vu, uv, x, coeff)), table)
                     table[x] = coeff
                     continue
                 expected = phi(x)
                 if not diagonal or coeff != expected:
-                    return DualityReport(False, mode, d, checked, [DualityFailure(
+                    return DualityReport(checked, DualityFailure(
                         x, self._difference(vu, uv, x, coeff),
-                        Combination.unit(self.universe, x, expected))])
+                        Combination.unit(self.universe, x, expected)))
             below = rows
-        return DualityReport(True, mode, d, checked, [], table)
+        return DualityReport(checked, None, table)
 
     def _difference(self, vu: dict, uv: dict, x, coeff: int) -> Combination:
         """The commutator vu - uv, with ``coeff`` at x."""
@@ -312,34 +305,3 @@ class GradedGraphPair:
             terms[z] = terms.get(z, 0) - c
         terms[x] = coeff
         return Combination(self.universe, terms)
-
-    def check_iterated_identity(self, phi: Callable, n: int,
-                                sample: Iterable) -> IteratedIdentityReport:
-        """Verify V* U^n = U^n V* + sum over k1+k2 = n-1 of U^k1 phi U^k2
-        on every sample element."""
-        failures = []
-        checked = 0
-        for x in sample:
-            checked += 1
-            start = Combination.unit(self.universe, x)
-            up, star = self.u.up, self.v.star
-            lhs = start
-            for _ in range(n):
-                lhs = lhs.apply_linear(up)
-            lhs = lhs.apply_linear(star)
-
-            rhs = start.apply_linear(star)
-            for _ in range(n):
-                rhs = rhs.apply_linear(up)
-            for k2 in range(n):
-                k1 = n - 1 - k2
-                term = start
-                for _ in range(k2):
-                    term = term.apply_linear(up)
-                term = term.apply_diagonal(phi)
-                for _ in range(k1):
-                    term = term.apply_linear(up)
-                rhs = rhs + term
-            if lhs != rhs:
-                failures.append((x, lhs, rhs))
-        return IteratedIdentityReport(not failures, n, checked, failures)

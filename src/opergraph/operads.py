@@ -516,18 +516,21 @@ def generator_alphabet(op: Operad):
 
 
 def evaluate_tree(op: Operad, t: SyntaxTree):
-    """The evaluation morphism: decode letters and compose down the tree."""
+    """The evaluation morphism: decode letters and compose down the tree.
+
+    A preorder walk with an explicit stack, so depth is no limit.  The
+    leaves met so far are the first inputs of the composite, so the node
+    visited next fills input ``leaves + 1`` with its generator."""
     _, mapping = generator_alphabet(op)
-
-    def ev(sub: SyntaxTree):
+    x, leaves, stack = op.unit, 0, [t]
+    while stack:
+        sub = stack.pop()
         if sub.is_leaf:
-            return op.unit
-        x = mapping[sub.letter]
-        for i in range(len(sub.children), 0, -1):
-            x = op.compose(x, i, ev(sub.children[i - 1]))
-        return x
-
-    return ev(t)
+            leaves += 1
+        else:
+            x = op.compose(x, leaves + 1, mapping[sub.letter])
+            stack.extend(reversed(sub.children))
+    return x
 
 
 def treelike_expressions(op: Operad, x, bound: int = 6) -> list[SyntaxTree]:

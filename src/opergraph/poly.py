@@ -84,9 +84,6 @@ class Combination:
     def __sub__(self, other: "Combination") -> "Combination":
         return self + (-other)
 
-    def scale(self, c: int) -> "Combination":
-        return Combination(self.universe, {x: c * v for x, v in self._terms.items()})
-
     # -- products ---------------------------------------------------------------
 
     def hadamard(self, other: "Combination") -> "Combination":
@@ -95,11 +92,6 @@ class Combination:
         return Combination(self.universe,
                            {x: c * big._terms[x]
                             for x, c in small._terms.items() if x in big._terms})
-
-    def scalar_product(self, other: "Combination") -> int:
-        self._check(other)
-        small, big = (self, other) if len(self) <= len(other) else (other, self)
-        return sum(c * big._terms[x] for x, c in small._terms.items() if x in big._terms)
 
     def trace(self) -> Series2:
         """Generating polynomial: the coefficient of t^d sums the
@@ -122,11 +114,6 @@ class Combination:
             for y, v in image._terms.items():
                 out[y] = out.get(y, 0) + c * v
         return Combination(self.universe, out)
-
-    def apply_diagonal(self, phi) -> "Combination":
-        """Image under the diagonal map x -> phi(x) * x."""
-        return Combination(self.universe,
-                           {x: c * phi(x) for x, c in self._terms.items()})
 
     # -- rendering ----------------------------------------------------------------
 

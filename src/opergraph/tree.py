@@ -12,8 +12,8 @@ The free operad these trees form is ``operads.TreeUniverse``.
 Walks over every internal node use ``_subtrees``, and edits at one address
 rebuild the path above it with ``_rebuild``.  Like the parser, the renderer,
 ``nf`` and ``node_stats``, they keep an explicit stack, so that depth is no
-limit.  The prefix-order walks, the JSON codec and ``compose_forest`` still
-recurse once per level.
+limit.  The prefix-order walks and ``compose_forest`` still recurse once
+per level.
 
 Node addresses are tuples of positive integers; the empty tuple is the root.
 """
@@ -215,22 +215,6 @@ def parse_term(text: str, alphabet: Alphabet) -> SyntaxTree:
             return tree
 
 
-def tree_to_json(t: SyntaxTree):
-    """Nested ``{letter, children}`` records; the leaf is null."""
-    if t.is_leaf:
-        return None
-    return {"letter": t.letter.name, "children": [tree_to_json(c) for c in t.children]}
-
-
-def tree_from_json(obj, alphabet: Alphabet) -> SyntaxTree:
-    if obj is None:
-        return LEAF
-    letter = alphabet.get(obj["letter"])
-    if letter is None:
-        raise ValueError(f"unknown letter {obj['letter']!r}")
-    return node(letter, (tree_from_json(c, alphabet) for c in obj["children"]))
-
-
 # -- addresses ---------------------------------------------------------------
 
 def format_address(u: Address) -> str:
@@ -239,14 +223,6 @@ def format_address(u: Address) -> str:
     if all(i <= 9 for i in u):
         return "".join(str(i) for i in u)
     return ".".join(str(i) for i in u)
-
-
-def parse_address(text: str) -> Address:
-    if text in ("", "e"):
-        return ()
-    if "." in text:
-        return tuple(int(x) for x in text.split("."))
-    return tuple(int(ch) for ch in text)
 
 
 def subtree_at(t: SyntaxTree, u: Address) -> SyntaxTree:

@@ -234,24 +234,23 @@ def interval_series(alphabet: Alphabet, t_trunc: int) -> Series2:
 
     Solves F = 1 + t*R(G) + q*t*R(F) with G = F - q*t*R(F), where R is the
     alphabet's counting polynomial.  The two split into G = 1 + t*R(G) (the
-    plain tree count) and F = G + q*t*R(F), so the t^n rows of F and G need
-    only rows below n.  F, G and their powers up to the largest arity grow
-    one t-degree at a time, each row a dense list of ints indexed by q-degree.
+    plain tree count) and F = G + q*t*R(F), so the t^n row of F needs only
+    rows below n.  G is F at q = 0, so R(G)'s t-row is the q^0 entry of
+    R(F)'s.  F and its powers up to the largest arity grow one t-degree at a
+    time, each row a dense list of ints indexed by q-degree.
     """
     weights: dict[int, int] = {}
     for letter in alphabet:
         weights[letter.arity] = weights.get(letter.arity, 0) + 1
     top = max(weights, default=1)
     f_pows: list[list[list[int]]] = [[] for _ in range(top)]
-    g_pows: list[list[list[int]]] = [[] for _ in range(top)]
-    f_row = g_row = [1]
+    f_row = [1]
     for n in range(t_trunc + 1):
         if n:
-            # G's rows are q-free (one entry), so adding q*R(F) appends
-            g_row = _weighted_row(g_pows, weights, n - 1)
-            f_row = g_row + _weighted_row(f_pows, weights, n - 1)
+            # G's row is R(F)'s q^0 entry; adding q*R(F) shifts R(F)'s row up
+            row = _weighted_row(f_pows, weights, n - 1)
+            f_row = row[:1] + row
         _extend_powers(f_pows, f_row)
-        _extend_powers(g_pows, g_row)
     return Series2({(i, n): c for n, row in enumerate(f_pows[0])
                     for i, c in enumerate(row)}, t_trunc)
 

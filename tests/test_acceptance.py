@@ -72,7 +72,7 @@ def test_criterion_03_free_pair_diagonal_duality():
         alphabet = Alphabet.parse(text)
         report = free_graphs.prefix_pair(alphabet).check_phi_diagonal(
             lambda t: phi_free(t, alphabet), depth)
-        assert report.ok, report.witness().render(TreeUniverse(alphabet))
+        assert report.ok, report.witness.render(TreeUniverse(alphabet))
     _report(3, "free-pair diagonal duality", started, budget=60)
 
 
@@ -86,7 +86,7 @@ def test_criterion_04_singleton_self_duality():
     a2b2 = Alphabet.parse("a:2,b:2")
     failing = free_graphs.self_pair(a2b2).check_phi_diagonal(None, 2)
     assert not failing.ok
-    witness = failing.witness()
+    witness = failing.witness
     assert witness.element == parse_term("a[*,*]", a2b2)
     assert witness.commutator == Combination(TreeUniverse(a2b2), {
         parse_term("a[*,*]", a2b2): 3, parse_term("b[*,*]", a2b2): -1})
@@ -197,14 +197,14 @@ def test_criterion_10_operad_dualities():
     for selector in ("comp", "motz", "fcat:1", "fcat:2", "fcat:3"):
         op = get_operad(selector)
         report = operads.prefix_pair(op).check_phi_diagonal(op.phi, 5)
-        assert report.ok, (selector, report.witness())
+        assert report.ok, (selector, report.witness)
     dias = get_operad("dias")
     report = operads.self_pair(dias).check_phi_diagonal(dias.phi, 5)
     assert report.ok
 
     failing = operads.prefix_pair(dias).check_phi_diagonal(None, 3)
     assert not failing.ok
-    witness = failing.witness()
+    witness = failing.witness
     assert witness.element == (1, 0)
     assert witness.commutator == Combination(dias, {(1, 0): 3, (0, 1): 2})
     _report(10, "operad dualities and the non-diagonal pair", started)

@@ -330,17 +330,21 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _run_capped(*args):
+    """The console script in a fresh process capped at 1 GB of address space."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                                    os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "opergraph.cli", *args],
+                          capture_output=True, text=True, env=env, preexec_fn=_cap_memory)
+
+
 @pytest.mark.parametrize("m, code", [("10000", 0), ("10001", 2), ("99999999999999999999", 2)])
 def test_fcat_m_past_the_limit_is_a_usage_error(m, code):
     """fcat:<m> builds its m + 1 generators at once, so an m past the limit is
     refused before anything is built.  Each run is capped at 1 GB of address
     space, where building too many generators fails fast instead of taking
     the machine's memory."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
-                                                                    os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "opergraph.cli", "operad", f"fcat:{m}", "up",
-                           "--element", "0"],
-                          capture_output=True, text=True, env=env, preexec_fn=_cap_memory)
+    proc = _run_capped("operad", f"fcat:{m}", "up", "--element", "0")
     assert proc.returncode == code
     if code == 2:
         assert proc.stdout == ""
@@ -348,6 +352,14 @@ def test_fcat_m_past_the_limit_is_a_usage_error(m, code):
     else:
         assert proc.stderr == ""
         assert len(proc.stdout.split(" + ")) == 10001
+
+
+def test_running_out_of_memory_is_a_usage_error():
+    """Rank 2 of fcat:10000 holds on the order of 10^8 words, far past the
+    cap: the run ends with one error line and exit 2, not a traceback."""
+    proc = _run_capped("operad", "fcat:10000", "hook", "--max", "2")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: out of memory; try a smaller rank or operad\n"
 
 
 def test_deep_duality_check_does_not_recurse(capsys):

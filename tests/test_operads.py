@@ -309,6 +309,17 @@ def test_treelike_expressions_comp():
         treelike_expressions(COMP, tuple([0] * 10), bound=6)
 
 
+@pytest.mark.parametrize("name, word", [("g00", (0, 0)), ("g01", (0, 1))])
+def test_evaluation_of_a_deep_comb_does_not_recurse(name, word):
+    """A right comb 5,000 deep, far past the recursion limit.  Under a 1 in
+    comp each inserted word is complemented, so the g01 comb alternates."""
+    alphabet, _ = generator_alphabet(COMP)
+    comb = LEAF
+    for _ in range(5000):
+        comb = node(alphabet[name], (LEAF, comb))
+    assert evaluate_tree(COMP, comb) == (word * 2501)[:5001]
+
+
 @pytest.mark.parametrize("op", [COMP, MOTZ, FCAT1])
 def test_homogeneity_certified(op):
     """Every expression in a fiber has the degree the operad assigns."""

@@ -1,5 +1,4 @@
 import importlib
-import json
 import pkgutil
 import sys
 
@@ -13,8 +12,7 @@ from opergraph import (LEAF, Alphabet, Letter, SyntaxTree, TreeUniverse, compose
                        node_stats, parse_term, subtree_at)
 from opergraph.free_graphs import hook_closed_form, twisted_graph, twisted_hook
 from opergraph.tree import (_INTERN, AddressError, ParseError, format_address,
-                            leaf_index, nf, parse_address, tree_from_json,
-                            tree_to_json)
+                            leaf_index, nf)
 from opergraph.tree_poset import is_stringy
 
 from series_oracle import interval_series_by_iteration
@@ -235,20 +233,10 @@ def test_is_prefix_against_decomposition_search(a2):
             assert is_prefix(s, t) == found
 
 
-def test_json_codec(a2c3):
-    t = parse_term("c[a[*,*],*,c[*,*,*]]", a2c3)
-    blob = json.dumps(tree_to_json(t))
-    assert tree_from_json(json.loads(blob), a2c3) == t
-    assert tree_to_json(LEAF) is None
-
-
 def test_address_formatting():
     assert format_address(()) == "e"
     assert format_address((3, 2)) == "32"
     assert format_address((3, 12, 1)) == "3.12.1"
-    assert parse_address("32") == (3, 2)
-    assert parse_address("3.12.1") == (3, 12, 1)
-    assert parse_address("e") == ()
 
 
 def test_wide_node_addresses():
@@ -503,5 +491,4 @@ def test_every_constructor_yields_the_same_object(eac):
         compose_index(corolla(eac["a"]), 1, corolla(eac["c"])), 1, corolla(eac["e"]))
     grafted = compose_index(grafted, 4, corolla(eac["a"]))
     assert grafted is target
-    assert tree_from_json(json.loads(json.dumps(tree_to_json(target))), eac) is target
     assert parse_term(" a[ c[e[*], *, *], a[*, *] ] ", eac) is target
