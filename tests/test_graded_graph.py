@@ -207,6 +207,27 @@ def test_returning_paths_series(text, expected):
             for d in range(6)] == expected
 
 
+RETURNING_PAIRS = {
+    "as": (lambda: operads.prefix_pair(get_operad("as")), [1, 1, 2, 6, 24, 120, 720, 5040]),
+    "dias": (lambda: operads.prefix_pair(get_operad("dias")), [1, 2, 11, 102, 1353, 23490]),
+    "comp": (lambda: operads.prefix_pair(get_operad("comp")),
+             [1, 2, 8, 48, 384, 3840, 46080]),
+    "motz": (lambda: operads.prefix_pair(get_operad("motz")), [1, 2, 10, 94, 1446, 33186]),
+    "fcat:1": (lambda: operads.prefix_pair(get_operad("fcat:1")), [1, 2, 8, 48, 384, 3840]),
+    "fcat:2": (lambda: operads.prefix_pair(get_operad("fcat:2")), [1, 3, 18, 162, 1944]),
+    "free-a:2,c:3": (lambda: prefix_pair(Alphabet.parse("a:2,c:3")),
+                     [1, 2, 10, 90, 1266, 25650, 708810]),
+    "free-empty": (lambda: prefix_pair(Alphabet.parse("")), [1, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("case", RETURNING_PAIRS)
+def test_returning_paths_series_of_operad_and_free_pairs(case):
+    make_pair, expected = RETURNING_PAIRS[case]
+    top = len(expected) - 1
+    assert make_pair().returning_paths_series(top).t_coeff_list(top) == expected
+
+
 def test_duality_commutator_examples(a2):
     pair = prefix_pair(a2)
     assert pair.duality_commutator(LEAF) == \
