@@ -14,8 +14,8 @@ graphs of every operad, trees included, come from the builders in ``operads``.
 A graph also carries its out-degree map, the weight sum of each up row.
 Because star is the adjoint of up, the hooks of rank d sum to the sum over x
 of rank d-1 of hook(x) * outdeg(x), so ``initial_paths_series(d)`` never
-builds rank d.  ``hook_series_up_to`` and ``returning_paths_series`` need a
-hook for each element of rank d, so they still build it.
+builds rank d.  ``returning_paths_series`` zips the U and V hook streams a
+slice at a time; it needs both hooks at rank d, so it builds rank d.
 """
 from __future__ import annotations
 
@@ -112,15 +112,9 @@ class GradedGraph:
             yield cur
             prev = cur
 
-    def hook_series_up_to(self, d: int) -> Combination:
-        terms: dict = {}
-        for slice_ in self.iter_hook_slices(d):
-            terms.update(slice_)
-        return Combination(self.universe, terms)
-
     def initial_paths_series(self, d: int) -> Series2:
-        """Trace of the hook series: coefficient of t^r counts the initial
-        multipaths of length r.
+        """The hook slices summed by rank: coefficient of t^r counts the
+        initial multipaths of length r.
 
         Ranks 0..d-1 sum their hook slices.  Every path of length d ends in
         an edge out of rank d-1, so the coefficient of t^d is the sum over x
@@ -151,9 +145,9 @@ class GradedGraph:
 
     def check_rooted(self, d: int):
         """Every element of rank <= d is reachable from the unit."""
-        for rank, slice_ in enumerate(self.iter_hook_slices(d)):
-            for x in self.universe.elements_of_rank(rank):
-                if slice_.get(x, 0) <= 0:
+        for slice_ in self.iter_hook_slices(d):
+            for x, h in slice_.items():
+                if h <= 0:
                     return False, x
         return True, None
 
@@ -227,11 +221,14 @@ class GradedGraphPair:
         self.v = v
         self.universe = u.universe
 
-    def returning_hook_series(self, d: int) -> Combination:
-        return self.u.hook_series_up_to(d).hadamard(self.v.hook_series_up_to(d))
-
     def returning_paths_series(self, d: int) -> Series2:
-        return self.returning_hook_series(d).trace()
+        """The t^r coefficient counts the pairs of initial paths, one in U and
+        one in V, ending at one x of rank r: the sum of hookU(x) * hookV(x)."""
+        terms: dict = {}
+        slices = zip(self.u.iter_hook_slices(d), self.v.iter_hook_slices(d))
+        for rank, (u_slice, v_slice) in enumerate(slices):
+            terms[(0, rank)] = sum(h * v_slice[x] for x, h in u_slice.items())
+        return Series2(terms)
 
     def duality_commutator(self, x) -> Combination:
         """(V* U - U V*)(x), exactly."""

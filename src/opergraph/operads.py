@@ -548,7 +548,7 @@ def v_operad_oracle(op: Operad, x, bound: int = 6) -> Combination:
     free = TreeUniverse(generator_alphabet(op)[0])
     seen = {evaluate_tree(op, t2)
             for t in treelike_expressions(op, x, bound) for t2 in free.v_explicit(t)}
-    return Combination.characteristic(op, seen)
+    return Combination(op, dict.fromkeys(seen, 1))
 
 
 # -- generators and order ---------------------------------------------------------------

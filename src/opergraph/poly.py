@@ -1,13 +1,11 @@
 """Exact formal linear combinations over a graded universe of elements.
 
-A universe is any ``Operad``, whose ``render_elem``, ``degree`` and
-``sort_key`` combinations use.  They are the public face of graded graphs,
-which pass plain rows (dicts element -> weight) and build a combination only
-to return it.  Combinations over different universes refuse to mix.
+A universe is any ``Operad``, whose ``render_elem`` and ``sort_key``
+combinations use.  They are the public face of graded graphs, which pass
+plain rows (dicts element -> weight) and build a combination only to return
+it.  Combinations over different universes refuse to mix.
 """
 from __future__ import annotations
-
-from .series import Series2
 
 
 class UniverseMismatchError(ValueError):
@@ -30,10 +28,6 @@ class Combination:
     def unit(cls, universe, x, c: int = 1) -> "Combination":
         return cls(universe, {x: c})
 
-    @classmethod
-    def characteristic(cls, universe, xs) -> "Combination":
-        return cls(universe, {x: 1 for x in xs})
-
     # -- queries -----------------------------------------------------------
 
     def coeff(self, x) -> int:
@@ -52,9 +46,6 @@ class Combination:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __contains__(self, x) -> bool:
         return x in self._terms
@@ -83,25 +74,6 @@ class Combination:
 
     def __sub__(self, other: "Combination") -> "Combination":
         return self + (-other)
-
-    # -- products ---------------------------------------------------------------
-
-    def hadamard(self, other: "Combination") -> "Combination":
-        self._check(other)
-        small, big = (self, other) if len(self) <= len(other) else (other, self)
-        return Combination(self.universe,
-                           {x: c * big._terms[x]
-                            for x, c in small._terms.items() if x in big._terms})
-
-    def trace(self) -> Series2:
-        """Generating polynomial: the coefficient of t^d sums the
-        coefficients of the degree-d elements."""
-        degree = self.universe.degree
-        coeffs: dict[tuple[int, int], int] = {}
-        for x, c in self._terms.items():
-            key = (0, degree(x))
-            coeffs[key] = coeffs.get(key, 0) + c
-        return Series2(coeffs)
 
     # -- linear maps ------------------------------------------------------------
 

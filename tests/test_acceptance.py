@@ -97,14 +97,16 @@ def test_criterion_05_hook_oracle_equivalence():
     started = time.perf_counter()
     for text, depth in (("a:2", 5), ("a:2,c:3", 4)):
         alphabet = Alphabet.parse(text)
-        u_hooks = free_graphs.prefix_graph(alphabet).hook_series_up_to(depth)
-        v_hooks = free_graphs.twisted_graph(alphabet).hook_series_up_to(depth)
+        u_hooks = {x: h for s in free_graphs.prefix_graph(alphabet).iter_hook_slices(depth)
+                   for x, h in s.items()}
+        v_hooks = {x: h for s in free_graphs.twisted_graph(alphabet).iter_hook_slices(depth)
+                   for x, h in s.items()}
         for d in range(depth + 1):
             for t in enumerate_trees(alphabet, d):
                 straight = hook_closed_form(t)
                 twisted = twisted_hook(t)
-                assert straight == u_hooks.coeff(t) == linear_extensions(t)
-                assert twisted == v_hooks.coeff(t) == linear_extensions(t, twisted=True)
+                assert straight == u_hooks[t] == linear_extensions(t)
+                assert twisted == v_hooks[t] == linear_extensions(t, twisted=True)
     _report(5, "hook closed forms = graph hooks = linear extensions", started)
 
 
@@ -247,11 +249,11 @@ def test_criterion_13_chain_hooks_resolved_by_path_oracle():
     started = time.perf_counter()
     op = get_operad("as")
     graph = operads.prefix_graph(op)
-    hooks = graph.hook_series_up_to(7)
+    hooks = {x: h for s in graph.iter_hook_slices(7) for x, h in s.items()}
     for n in range(1, 9):
         oracle = graph.path_weight_sum(1, n)
         assert oracle == math.factorial(n - 1)
-        assert hooks.coeff(n) == oracle
+        assert hooks[n] == oracle
     # the bundled fixture pins the same convention
     results = verify_fixtures("as-hook")
     assert results and all(ok for _, ok, _, _ in results)

@@ -66,8 +66,8 @@ def test_v_star_equals_quasi_maximal_contractions(alphabet_text):
 
 
 def test_v_free_examples(a2, eac):
-    assert twisted_graph(eac).up(LEAF) == Combination.characteristic(
-        TreeUniverse(eac), [corolla(letter) for letter in eac])
+    assert twisted_graph(eac).up(LEAF) == Combination(
+        TreeUniverse(eac), {corolla(letter): 1 for letter in eac})
     nine = twisted_graph(eac).up(parse_term("a[*,a[*,*]]", eac))
     assert len(nine) == 9
     assert all(c == 1 for _, c in nine.terms())
@@ -193,9 +193,9 @@ def test_unary_twisted_graph_is_the_line():
 
 
 def test_hook_series_match_closed_forms(a2c3):
-    u_hooks = prefix_graph(a2c3).hook_series_up_to(4)
-    v_hooks = twisted_graph(a2c3).hook_series_up_to(4)
+    u_hooks = {x: h for s in prefix_graph(a2c3).iter_hook_slices(4) for x, h in s.items()}
+    v_hooks = {x: h for s in twisted_graph(a2c3).iter_hook_slices(4) for x, h in s.items()}
     for d in range(5):
         for t in enumerate_trees(a2c3, d):
-            assert u_hooks.coeff(t) == hook_closed_form(t)
-            assert v_hooks.coeff(t) == twisted_hook(t)
+            assert u_hooks[t] == hook_closed_form(t)
+            assert v_hooks[t] == twisted_hook(t)

@@ -4,6 +4,7 @@ from opergraph import LEAF, Alphabet, Combination, corolla, enumerate_trees, par
 from opergraph.free_graphs import (hook_closed_form, phi_free, prefix_graph, prefix_pair,
                                    self_pair, twisted_graph, twisted_hook)
 from opergraph import operads
+from opergraph.graded_graph import GradedGraph
 from opergraph.operads import get_operad
 
 
@@ -100,12 +101,12 @@ def test_path_weight_sum_free(a2):
 
 def test_hook_series_matches_path_weights(a2):
     graph = prefix_graph(a2)
-    hooks = graph.hook_series_up_to(4)
-    assert hooks.coeff(LEAF) == 1
+    hooks = {x: h for s in graph.iter_hook_slices(4) for x, h in s.items()}
+    assert hooks[LEAF] == 1
     for d in range(5):
         for t in enumerate_trees(a2, d):
-            assert hooks.coeff(t) == graph.path_weight_sum(LEAF, t)
-    assert hooks.coeff(parse_term("a[a[*,*],a[*,*]]", a2)) == 2
+            assert hooks[t] == graph.path_weight_sum(LEAF, t)
+    assert hooks[parse_term("a[a[*,*],a[*,*]]", a2)] == 2
 
 
 def test_initial_paths_series_small(a2):
@@ -117,8 +118,8 @@ def test_initial_paths_series_small(a2):
 
 def test_dias_hooks_in_canonical_order():
     dias = get_operad("dias")
-    hooks = operads.prefix_graph(dias).hook_series_up_to(4)
-    assert [c for _, c in hooks.items()] == \
+    slices = operads.prefix_graph(dias).iter_hook_slices(4)
+    assert [s[x] for s in slices for x in sorted(s, key=dias.sort_key)] == \
         [1, 1, 1, 3, 2, 3, 15, 9, 9, 15, 105, 60, 54, 60, 105]
 
 
@@ -134,7 +135,7 @@ def test_initial_paths_series_is_the_hook_trace():
     for universe in TRACE_UNIVERSES:
         for build in (operads.prefix_graph, operads.twisted_graph):
             graph = build(universe)
-            trace = graph.hook_series_up_to(5).trace().t_coeff_list(5)
+            trace = [sum(s.values()) for s in graph.iter_hook_slices(5)]
             for d in range(6):
                 assert graph.initial_paths_series(d).t_coeff_list(d) == trace[:d + 1], \
                     (graph.name, d)
@@ -177,8 +178,9 @@ def test_initial_paths_series_never_builds_the_top_rank(monkeypatch, case):
 
 def test_returning_hooks_free_pair_by_path_pairs(a2):
     pair = prefix_pair(a2)
-    returning = pair.returning_hook_series(3)
-    assert returning.coeff(LEAF) == 1
+    u_hooks = {x: h for s in pair.u.iter_hook_slices(3) for x, h in s.items()}
+    v_hooks = {x: h for s in pair.v.iter_hook_slices(3) for x, h in s.items()}
+    assert u_hooks[LEAF] * v_hooks[LEAF] == 1
 
     def count_paths(graph, target):
         # path enumeration by walking predecessors, deliberately unmemoized
@@ -188,8 +190,32 @@ def test_returning_hooks_free_pair_by_path_pairs(a2):
                    for p, w in graph.up_adjoint(target).items())
 
     for t in enumerate_trees(a2, 3):
-        assert returning.coeff(t) == \
+        assert u_hooks[t] * v_hooks[t] == \
             count_paths(pair.u, t) * count_paths(pair.v, t)
+
+
+def test_returning_hooks_on_the_chain_by_path_pairs():
+    """On the chain, one element per rank, the returning series at rank n-1
+    is the product of the U and V path counts to n."""
+    op = get_operad("as")
+    pair = operads.prefix_pair(op)
+    returning = pair.returning_paths_series(6)
+
+    def count_paths(graph, target, rank):
+        # explicit multipath enumeration, no memo: the independent oracle
+        if rank == 0:
+            return 1 if target == op.unit else 0
+        total = 0
+        for below in op.elements_of_rank(rank - 1):
+            weight = graph.up(below).coeff(target)
+            if weight:
+                total += weight * count_paths(graph, below, rank - 1)
+        return total
+
+    for n in range(1, 8):
+        rank = n - 1
+        assert returning.coeff(0, rank) == \
+            count_paths(pair.u, n, rank) * count_paths(pair.v, n, rank)
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -388,6 +414,13 @@ def test_structural_checks(a2c3):
         assert ok, witness
         ok, witness = graph.check_rooted(3)
         assert ok, witness
+
+
+def test_check_rooted_names_an_unreachable_element(a2):
+    graph = GradedGraph(operads.TreeUniverse(a2), lambda x: {}, name="no edges",
+                        outdegree=lambda x: 0)
+    assert graph.check_rooted(0) == (True, None)
+    assert graph.check_rooted(2) == (False, corolla(a2["a"]))
 
 
 def test_dot_export(a2):
