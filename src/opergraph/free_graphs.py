@@ -9,7 +9,9 @@ first are leaves); its adjoint inserts above first children only.
 Trees over an alphabet are the free operad ``operads.TreeUniverse``, which
 carries these four maps; the graphs come from the builders in ``operads``,
 and the alphabet-taking functions here are calls on that universe.  The
-two hook closed forms are products over the internal nodes of a tree.
+two hook closed forms are products over the internal nodes of a tree.  The
+initial path counts of both graphs come from integer recurrences on that
+universe (``TreeUniverse.up_paths`` and ``v_paths``), which build no tree.
 """
 from __future__ import annotations
 
@@ -19,7 +21,9 @@ from math import factorial, prod
 from . import operads
 from .alphabet import Alphabet
 from .graded_graph import GradedGraph, GradedGraphPair
-from .operads import OracleBoundError, TreeUniverse
+# theta_table and theta_row_sums, the U path recurrence, live with the graph
+# builders in ``operads``; they are importable from here too
+from .operads import OracleBoundError, TreeUniverse, theta_row_sums, theta_table
 from .poly import Combination
 from .tree import SyntaxTree, _deletions, _subtrees, node_stats
 
@@ -108,33 +112,6 @@ def linear_extensions(t: SyntaxTree, twisted: bool = False, *, bound: int = 8,
             if return_words:
                 words.append(perm)
     return (count, words) if return_words else count
-
-
-# -- path enumeration by arity ------------------------------------------------------
-
-def theta_table(alphabet: Alphabet, d_max: int) -> dict[tuple[int, int], int]:
-    """Initial path counts to trees of degree d and arity n.
-
-    theta(0,1) = 1 and theta(d,n) sums (n+1-|a|) * theta(d-1, n+1-|a|) over
-    letters of arity at most n; rows are supported on 1 <= n <= 1+(m-1)d for
-    m the maximal arity.
-    """
-    m = alphabet.max_arity()
-    table: dict[tuple[int, int], int] = {(0, 1): 1}
-    for d in range(1, d_max + 1):
-        for n in range(1, 1 + max(m - 1, 0) * d + 1):
-            total = 0
-            for letter in alphabet:
-                if letter.arity <= n:
-                    total += (n + 1 - letter.arity) * table.get((d - 1, n + 1 - letter.arity), 0)
-            if total:
-                table[(d, n)] = total
-    return table
-
-
-def theta_row_sums(alphabet: Alphabet, d_max: int) -> list[int]:
-    table = theta_table(alphabet, d_max)
-    return [sum(c for (d, _), c in table.items() if d == row) for row in range(d_max + 1)]
 
 
 # -- graph builders ----------------------------------------------------------------

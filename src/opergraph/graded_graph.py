@@ -11,9 +11,12 @@ one.  The diagonal duality check runs one rank slice at a time, with
 ``GradedGraphPair.duality_commutator`` as its independent oracle.  The
 graphs of every operad, trees included, come from the builders in ``operads``.
 
-A graph also carries its out-degree map, the weight sum of each up row.
-Because star is the adjoint of up, the hooks of rank d sum to the sum over x
-of rank d-1 of hook(x) * outdeg(x), so ``initial_paths_series(d)`` never
+A graph also carries its initial path counts, fixed when the graph is built
+like the star map: the operad's integer recurrence where it has one, else
+``hook_trace``, which sums the hook slices rank by rank and is the oracle for
+every recurrence.  ``hook_trace`` reads the graph's out-degree map, the
+weight sum of each up row: because star is the adjoint of up, the hooks of
+rank d sum to the sum over x of rank d-1 of hook(x) * outdeg(x), so it never
 builds rank d.  ``returning_paths_series`` zips the U and V hook streams a
 slice at a time; it needs both hooks at rank d, so it builds rank d.
 """
@@ -30,10 +33,11 @@ class GradedGraph:
     """The star map ``_star`` sends x to the (element, weight) pairs of the
     adjoint row, each element once with a positive int weight.  A star row
     is read once: a closed form may return an iterator.  ``outdegree`` sends
-    x to the weight sum of its up row, in closed form."""
+    x to the weight sum of its up row, in closed form.  ``paths`` sends d to
+    the initial path counts of ranks 0..d, a list of ints."""
 
     def __init__(self, universe, up: Callable, *, name: str, outdegree: Callable,
-                 star: Callable | None = None):
+                 star: Callable | None = None, paths: Callable | None = None):
         self.universe = universe
         self.name = name
         self._up = up
@@ -41,6 +45,7 @@ class GradedGraph:
         self._reverse: dict = {}
         self._reverse_ranks: set[int] = set()
         self._star = star or self._table_row
+        self._paths = paths or self.hook_trace
 
     # -- the two operators ---------------------------------------------------
 
@@ -112,21 +117,27 @@ class GradedGraph:
             yield cur
             prev = cur
 
-    def initial_paths_series(self, d: int) -> Series2:
-        """The hook slices summed by rank: coefficient of t^r counts the
-        initial multipaths of length r.
+    def hook_trace(self, d: int) -> list[int]:
+        """The hook slices summed by rank: the count at r is the number of
+        initial multipaths of length r, for r = 0..d.
 
         Ranks 0..d-1 sum their hook slices.  Every path of length d ends in
-        an edge out of rank d-1, so the coefficient of t^d is the sum over x
-        of rank d-1 of hook(x) * outdeg(x): rank d is never built.
+        an edge out of rank d-1, so the count at d is the sum over x of rank
+        d-1 of hook(x) * outdeg(x): rank d is never built.
         """
-        terms: dict = {}
-        for rank, slice_ in enumerate(self.iter_hook_slices(d - 1)):
-            terms[(0, rank)] = sum(slice_.values())
+        counts = []
+        for slice_ in self.iter_hook_slices(d - 1):
+            counts.append(sum(slice_.values()))
         if d > 0:
             outdegree = self._outdegree
-            terms[(0, d)] = sum(h * outdegree(x) for x, h in slice_.items())
-        return Series2(terms)
+            counts.append(sum(h * outdegree(x) for x, h in slice_.items()))
+        return counts
+
+    def initial_paths_series(self, d: int) -> Series2:
+        """Coefficient of t^r counts the initial multipaths of length r, for
+        r = 0..d: from the graph's recurrence where it has one, else from
+        ``hook_trace``."""
+        return Series2({(0, r): c for r, c in enumerate(self._paths(d))})
 
     # -- structural checks ----------------------------------------------------------
 

@@ -17,9 +17,17 @@ the chain, comp and fcat:m the twisted one (a word comes from its prefix).
 Elsewhere the graph reads a reverse-edge table, and ``up_adjoint`` reads it
 for every graph: the oracle for every closed form.
 
-Each graph also takes the weight sum of an up row, in closed form.
-``up_outdegree(x)`` is ``len(generators) * arity(x)``, since every up row
-grafts each generator at each position, trees included.  ``v_outdegree(x)``
+Each graph also takes its initial path counts from an integer recurrence
+where one exists, and builds no element for them.  ``up_paths`` is
+``theta_row_sums`` over the generators' arities, for every operad, trees
+included: a U step out of x grafts each generator at each position, so its
+weight is ``len(generators) * arity(x)`` and it adds ``arity(g) - 1`` to the
+arity.  ``TreeUniverse.v_paths`` is the twisted recurrence over the root
+letter; the other operads have none, and their V graphs sum hook slices
+(``GradedGraph.hook_trace``), which is the oracle for both recurrences.
+
+``hook_trace`` reads the weight sum of an up row, in closed form.
+``up_outdegree(x)`` is ``len(generators) * arity(x)``.  ``v_outdegree(x)``
 is ``len(v_explicit(x))``; the trees count the places where ``v_explicit``
 puts a new root, and build no tree.  The row sums are the tests' oracle.
 
@@ -28,8 +36,10 @@ any operad, the free ones included.
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import repeat
+from math import comb
 
 from .alphabet import Alphabet, Letter
 from .graded_graph import GradedGraph, GradedGraphPair
@@ -72,6 +82,8 @@ class Operad:
     # closed-form star rows of (element, weight) pairs; None reads a table
     up_star = None
     v_star = None
+    # the twisted path counts by recurrence; None sums the hook slices
+    v_paths = None
 
     def __init__(self):
         self._degree_slices: list[list] = [[self.unit]]
@@ -127,6 +139,12 @@ class Operad:
     def v_outdegree(self, x) -> int:
         """Weight sum of the twisted row."""
         return len(self.v_explicit(x))
+
+    def up_paths(self, d: int) -> list[int]:
+        """Initial path counts of the grafting graph to rank d.  A U path lifts
+        to one free path over ``generator_alphabet``, and the weights of both
+        depend only on the arities, so the counts are the free ones."""
+        return theta_row_sums(generator_alphabet(self)[0], d)
 
     # -- codec ----------------------------------------------------------------
 
@@ -466,6 +484,33 @@ class TreeUniverse(Operad):
         """Diagonal coefficient making the prefix/twisted pair dual."""
         return len(self.alphabet) * nf(t)
 
+    def up_paths(self, d: int) -> list[int]:
+        """``Operad.up_paths`` on the alphabet itself, so no corolla is built."""
+        return theta_row_sums(self.alphabet, d)
+
+    def v_paths(self, d: int) -> list[int]:
+        """Initial path counts of the twisted graph to degree d.
+
+        A tree's twisted hook is the product of its root's subtree hooks and
+        the shuffles of the subtrees past the first.  So with O[n] the count
+        at degree n, and P_k[m] the sum over k subtrees of total degree m of
+        their hooks times their shuffles,
+        O[n] = sum over letters a and d1 + m = n - 1 of O[d1] * P_{|a|-1}[m],
+        P_k[m] = sum over j of C(m, j) * O[j] * P_{k-1}[m - j],
+        with P_0 = [1, 0, 0, ...]: integers and binomials only.
+        """
+        arities = Counter(letter.arity for letter in self.alphabet)
+        counts = [1]
+        shuffles = [[1] + [0] * d] + [[] for _ in range(max(arities, default=1) - 1)]
+        for n in range(1, d + 1):
+            m = n - 1
+            for below, row in zip(shuffles, shuffles[1:]):
+                row.append(sum(comb(m, j) * counts[j] * below[m - j] for j in range(n)))
+            counts.append(sum(
+                times * sum(counts[d1] * shuffles[arity - 1][m - d1] for d1 in range(n))
+                for arity, times in arities.items()))
+        return counts
+
     def up_star(self, t: SyntaxTree):
         """Star row of grafting: delete each maximal node."""
         return zip(_deletions(t), repeat(1))
@@ -578,19 +623,51 @@ def operad_poset_leq(op: Operad, x, y) -> bool:
     return prefix_graph(op).path_weight_sum(x, y) > 0
 
 
+# -- path enumeration by arity --------------------------------------------------------------
+
+def theta_table(alphabet: Alphabet, d_max: int) -> dict[tuple[int, int], int]:
+    """Initial path counts to trees of degree d and arity n.
+
+    theta(0,1) = 1 and theta(d,n) sums (n+1-|a|) * theta(d-1, n+1-|a|) over
+    letters of arity at most n; rows are supported on 1 <= n <= 1+(m-1)d for
+    m the maximal arity.  Only the letters' arities are read, so the letters
+    of one arity are taken together.
+    """
+    arities = Counter(letter.arity for letter in alphabet)
+    m = max(arities, default=0)
+    table: dict[tuple[int, int], int] = {(0, 1): 1}
+    for d in range(1, d_max + 1):
+        for n in range(1, 1 + max(m - 1, 0) * d + 1):
+            total = 0
+            for arity, times in arities.items():
+                if arity <= n:
+                    total += times * (n + 1 - arity) * table.get((d - 1, n + 1 - arity), 0)
+            if total:
+                table[(d, n)] = total
+    return table
+
+
+def theta_row_sums(alphabet: Alphabet, d_max: int) -> list[int]:
+    """Initial path counts to the trees of each degree 0..d_max."""
+    sums = [0] * (d_max + 1)
+    for (d, _), c in theta_table(alphabet, d_max).items():
+        sums[d] += c
+    return sums
+
+
 # -- graph builders ------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def prefix_graph(op: Operad) -> GradedGraph:
     """Grafting graph of any operad, the free ones (``TreeUniverse``) included."""
     return GradedGraph(op, op.up_row, star=op.up_star, outdegree=op.up_outdegree,
-                       name=f"prefix({op.name})")
+                       paths=op.up_paths, name=f"prefix({op.name})")
 
 
 @lru_cache(maxsize=None)
 def twisted_graph(op: Operad) -> GradedGraph:
     return GradedGraph(op, op.v_row, star=op.v_star, outdegree=op.v_outdegree,
-                       name=f"twisted({op.name})")
+                       paths=op.v_paths, name=f"twisted({op.name})")
 
 
 def prefix_pair(op: Operad) -> GradedGraphPair:

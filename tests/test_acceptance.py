@@ -55,6 +55,7 @@ def test_criterion_01_prefix_graph_path_sequences():
     for text, expected in U_SEQUENCES.items():
         graph = free_graphs.prefix_graph(Alphabet.parse(text))
         assert graph.initial_paths_series(7).t_coeff_list(7) == expected
+        assert graph.hook_trace(7) == expected  # enumerates trees to degree 6
     _report(1, "prefix-graph path sequences", started, budget=10)
 
 
@@ -63,6 +64,7 @@ def test_criterion_02_twisted_graph_path_sequences():
     for text, expected in V_SEQUENCES.items():
         graph = free_graphs.twisted_graph(Alphabet.parse(text))
         assert graph.initial_paths_series(7).t_coeff_list(7) == expected
+        assert graph.hook_trace(7) == expected  # enumerates trees to degree 6
     _report(2, "twisted-graph path sequences", started, budget=30)
 
 

@@ -1,9 +1,12 @@
+from functools import partial
+from math import comb, factorial
+
 import pytest
 
 from opergraph import LEAF, Alphabet, Combination, corolla, enumerate_trees, parse_term
 from opergraph.free_graphs import (hook_closed_form, phi_free, prefix_graph, prefix_pair,
                                    self_pair, twisted_graph, twisted_hook)
-from opergraph import operads
+from opergraph import operads, tree
 from opergraph.graded_graph import GradedGraph
 from opergraph.operads import get_operad
 
@@ -130,8 +133,9 @@ TRACE_UNIVERSES = ([get_operad(sel) for sel in ("as", "dias", "comp", "motz",
 
 
 def test_initial_paths_series_is_the_hook_trace():
-    """The top coefficient, from the hooks of rank d-1 and the out-degrees,
-    is the sum of the hooks of rank d, for every d to 5."""
+    """The recurrences, where a graph has one, and ``hook_trace``, whose top
+    count comes from the hooks of rank d-1 and the out-degrees, both give
+    the sums of the hook slices, for every d to 5."""
     for universe in TRACE_UNIVERSES:
         for build in (operads.prefix_graph, operads.twisted_graph):
             graph = build(universe)
@@ -139,6 +143,57 @@ def test_initial_paths_series_is_the_hook_trace():
             for d in range(6):
                 assert graph.initial_paths_series(d).t_coeff_list(d) == trace[:d + 1], \
                     (graph.name, d)
+                assert graph.hook_trace(d) == trace[:d + 1], (graph.name, d)
+
+
+def _scaled_factorials(base: int, top: int) -> list[int]:
+    return [base ** n * factorial(n) for n in range(top + 1)]
+
+
+def _catalans(top: int) -> list[int]:
+    return [comb(2 * n, n) // (n + 1) for n in range(top + 1)]
+
+
+FREE_SERIES_TO_40 = {
+    "a:2-u": _scaled_factorials(1, 40),
+    "c:3-u": [factorial(2 * n) // (2 ** n * factorial(n)) for n in range(41)],  # (2n-1)!!
+    "a:2,b:2-u": _scaled_factorials(2, 40),
+    "a:2-v": _catalans(40),
+    "a:2,b:2-v": [2 ** n * c for n, c in enumerate(_catalans(40))],
+    "e:1-u": [1] * 41,
+    "e:1-v": [1] * 41,
+    "-u": [1] + [0] * 40,
+    "-v": [1] + [0] * 40,
+}
+
+
+@pytest.mark.parametrize("case", FREE_SERIES_TO_40)
+def test_free_path_series_to_degree_40(case):
+    text, _, graph = case.rpartition("-")
+    build = prefix_graph if graph == "u" else twisted_graph
+    assert build(Alphabet.parse(text)).initial_paths_series(40).t_coeff_list(40) == \
+        FREE_SERIES_TO_40[case]
+
+
+LIFTED_SERIES_TO_20 = {
+    "as": _scaled_factorials(1, 20),
+    "comp": _scaled_factorials(2, 20),
+    "dias": _scaled_factorials(2, 20),
+    "fcat:1": _scaled_factorials(2, 20),
+    "fcat:2": _scaled_factorials(3, 20),
+}
+
+
+@pytest.mark.parametrize("selector", [*LIFTED_SERIES_TO_20, "motz"])
+def test_operad_u_series_is_the_free_series_of_its_generators(selector):
+    """A U path of an operad lifts to one free path over its generators, so
+    the two U series agree: motz has generators of arities 2 and 3."""
+    got = operads.prefix_graph(get_operad(selector)).initial_paths_series(20).t_coeff_list(20)
+    if selector == "motz":
+        assert got == prefix_graph(Alphabet.parse("a:2,c:3")).initial_paths_series(20) \
+            .t_coeff_list(20)
+    else:
+        assert got == LIFTED_SERIES_TO_20[selector]
 
 
 @pytest.mark.parametrize("universe", TRACE_UNIVERSES, ids=lambda u: u.name)
@@ -149,31 +204,51 @@ def test_outdegrees_are_the_row_weight_sums(universe):
             assert universe.v_outdegree(x) == sum(universe.v_row(x).values()), x
 
 
-TOP_RANK_CASES = {
+A2C3_U = [1, 2, 10, 82, 938, 13778, 247210]
+
+# (a fresh universe, the builder, the counts to rank 6, whether they sum hook
+# slices): the free U and V graphs and every operad's U graph have a
+# recurrence; an operad's V graph sums its hook slices below the top rank
+SERIES_BUILD_CASES = {
     "a:2,c:3-u": (lambda: operads.TreeUniverse(Alphabet.parse("a:2,c:3")), operads.prefix_graph,
-                  [1, 2, 10, 82, 938, 13778, 247210]),
+                  A2C3_U, False),
     "a:2,c:3-v": (lambda: operads.TreeUniverse(Alphabet.parse("a:2,c:3")), operads.twisted_graph,
-                  [1, 2, 10, 70, 606, 6210, 73842]),
-    "motz-u": (operads.MotzOperad, operads.prefix_graph, [1, 2, 10, 82, 938, 13778, 247210]),
-    "motz-v": (operads.MotzOperad, operads.twisted_graph, [1, 2, 6, 26, 150, 1082, 9366]),
+                  [1, 2, 10, 70, 606, 6210, 73842], False),
+    "motz-u": (operads.MotzOperad, operads.prefix_graph, A2C3_U, False),
+    "motz-v": (operads.MotzOperad, operads.twisted_graph, [1, 2, 6, 26, 150, 1082, 9366], True),
+    "as-u": (operads.AsOperad, operads.prefix_graph, _scaled_factorials(1, 6), False),
+    "dias-u": (operads.DiasOperad, operads.prefix_graph, _scaled_factorials(2, 6), False),
+    "comp-u": (operads.CompOperad, operads.prefix_graph, _scaled_factorials(2, 6), False),
+    **{f"fcat:{m}-u": (partial(operads.FCatOperad, m), operads.prefix_graph,
+                       _scaled_factorials(m + 1, 6), False) for m in range(4)},
 }
 
 
-@pytest.mark.parametrize("case", TOP_RANK_CASES)
+def _interned_trees() -> int:
+    return sum(map(len, tree._INTERN.values()))
+
+
+@pytest.mark.parametrize("case", SERIES_BUILD_CASES)
 def test_initial_paths_series_never_builds_the_top_rank(monkeypatch, case):
-    make_universe, build, expected = TOP_RANK_CASES[case]
+    """A graph with a recurrence builds no element of any rank and interns
+    no tree; a graph that sums hook slices builds none of the top rank."""
+    make_universe, build, expected, sums_slices = SERIES_BUILD_CASES[case]
     universe = make_universe()
     top = len(expected) - 1
+    barred = top if sums_slices else 0
     elements_of_rank = universe.elements_of_rank
 
-    def below_the_top(rank):
-        if rank >= top:
+    def below_the_barred(rank):
+        if rank >= barred:
             raise AssertionError(f"rank {rank} was built")
         return elements_of_rank(rank)
 
-    monkeypatch.setattr(universe, "elements_of_rank", below_the_top)
+    monkeypatch.setattr(universe, "elements_of_rank", below_the_barred)
     graph = build.__wrapped__(universe)  # a graph of its own, not the cached one
+    interned = _interned_trees()
     assert graph.initial_paths_series(top).t_coeff_list(top) == expected
+    if not sums_slices:
+        assert _interned_trees() == interned
 
 
 def test_returning_hooks_free_pair_by_path_pairs(a2):
