@@ -21,9 +21,9 @@ from math import factorial, prod
 from . import operads
 from .alphabet import Alphabet
 from .graded_graph import GradedGraph, GradedGraphPair
-# theta_table and theta_row_sums, the U path recurrence, live with the graph
-# builders in ``operads``; they are importable from here too
-from .operads import OracleBoundError, TreeUniverse, theta_row_sums, theta_table
+# theta_row_sums, the U path recurrence, lives with the graph builders in
+# ``operads``; it is importable from here too
+from .operads import OracleBoundError, TreeUniverse, theta_row_sums
 from .poly import Combination
 from .tree import SyntaxTree, _deletions, _subtrees, node_stats
 

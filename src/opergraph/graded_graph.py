@@ -139,29 +139,6 @@ class GradedGraph:
         ``hook_trace``."""
         return Series2({(0, r): c for r, c in enumerate(self._paths(d))})
 
-    # -- structural checks ----------------------------------------------------------
-
-    def check_graded(self, d: int):
-        degree = self.universe.degree
-        for x, y, _ in self._edges(d + 1):
-            if degree(y) != degree(x) + 1:
-                return False, (x, y)
-        return True, None
-
-    def check_simple(self, d: int):
-        for x, y, w in self._edges(d + 1):
-            if w not in (0, 1):
-                return False, (x, y, w)
-        return True, None
-
-    def check_rooted(self, d: int):
-        """Every element of rank <= d is reachable from the unit."""
-        for slice_ in self.iter_hook_slices(d):
-            for x, h in slice_.items():
-                if h <= 0:
-                    return False, x
-        return True, None
-
     # -- exports ---------------------------------------------------------------------
 
     def export_dot(self, max_rank: int) -> str:

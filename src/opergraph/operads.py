@@ -22,9 +22,11 @@ where one exists, and builds no element for them.  ``up_paths`` is
 ``theta_row_sums`` over the generators' arities, for every operad, trees
 included: a U step out of x grafts each generator at each position, so its
 weight is ``len(generators) * arity(x)`` and it adds ``arity(g) - 1`` to the
-arity.  ``TreeUniverse.v_paths`` is the twisted recurrence over the root
-letter; the other operads have none, and their V graphs sum hook slices
-(``GradedGraph.hook_trace``), which is the oracle for both recurrences.
+arity.  It keeps one arity row, path counts by arity at the current degree,
+and pushes it forward a degree at a time.  ``TreeUniverse.v_paths`` is the
+twisted recurrence over the root letter; the other operads have none, and
+their V graphs sum hook slices (``GradedGraph.hook_trace``), which is the
+oracle for both recurrences.
 
 ``hook_trace`` reads the weight sum of an up row, in closed form.
 ``up_outdegree(x)`` is ``len(generators) * arity(x)``.  ``v_outdegree(x)``
@@ -625,33 +627,26 @@ def operad_poset_leq(op: Operad, x, y) -> bool:
 
 # -- path enumeration by arity --------------------------------------------------------------
 
-def theta_table(alphabet: Alphabet, d_max: int) -> dict[tuple[int, int], int]:
-    """Initial path counts to trees of degree d and arity n.
-
-    theta(0,1) = 1 and theta(d,n) sums (n+1-|a|) * theta(d-1, n+1-|a|) over
-    letters of arity at most n; rows are supported on 1 <= n <= 1+(m-1)d for
-    m the maximal arity.  Only the letters' arities are read, so the letters
-    of one arity are taken together.
-    """
-    arities = Counter(letter.arity for letter in alphabet)
-    m = max(arities, default=0)
-    table: dict[tuple[int, int], int] = {(0, 1): 1}
-    for d in range(1, d_max + 1):
-        for n in range(1, 1 + max(m - 1, 0) * d + 1):
-            total = 0
-            for arity, times in arities.items():
-                if arity <= n:
-                    total += times * (n + 1 - arity) * table.get((d - 1, n + 1 - arity), 0)
-            if total:
-                table[(d, n)] = total
-    return table
-
-
 def theta_row_sums(alphabet: Alphabet, d_max: int) -> list[int]:
-    """Initial path counts to the trees of each degree 0..d_max."""
-    sums = [0] * (d_max + 1)
-    for (d, _), c in theta_table(alphabet, d_max).items():
-        sums[d] += c
+    """Initial path counts to the trees of each degree 0..d_max.
+
+    theta(d, n) counts the initial paths to trees of degree d and arity n,
+    from theta(0, 1) = 1.  One arity row is kept and pushed forward: a
+    graft of letter a at one of the n leaves goes from arity n to
+    n - 1 + |a|.  Only the letters' arities are read, so the letters of one
+    arity are taken together.
+    """
+    arities = Counter(letter.arity for letter in alphabet).items()
+    row = {1: 1}
+    sums = [1]
+    for _ in range(d_max):
+        nxt: dict[int, int] = {}
+        for n, c in row.items():
+            for arity, times in arities:
+                m = n - 1 + arity
+                nxt[m] = nxt.get(m, 0) + times * n * c
+        row = nxt
+        sums.append(sum(row.values()))
     return sums
 
 

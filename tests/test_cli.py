@@ -214,22 +214,28 @@ sys.exit(code)
 """
 
 
-def test_fcat3_check_to_rank_6_stays_small():
-    """The fcat:3 star rows are closed-form, so the rank-6 reverse-edge table
-    (53,820 words) is never built: the whole check peaks under 100 MB.
+@pytest.mark.parametrize("argv,stdout_start,peak_mib", [
+    (["check-duality", "--operad", "fcat:3", "--max", "6"], "ok: ", 100),
+    (["paths-series", "--alphabet", "a:2,c:3", "--graph", "u", "--max", "400"],
+     "1,2,10,82,938,", 32),
+], ids=["fcat3-check-6", "u-paths-a2c3-400"])
+def test_cold_call_peak_stays_small(argv, stdout_start, peak_mib):
+    """Two cold calls that keep one slice or row at a time.  The fcat:3 star
+    rows are closed-form, so the rank-6 reverse-edge table (53,820 words) is
+    never built.  The U path counts keep one arity row of O(d) ints, not a
+    table over (degree, arity), so degree 400 stays under 32 MB.
 
     The child reads its peak from VmHWM where it can: on Linux ru_maxrss
     keeps the high-water mark of the process that spawned it across exec,
     which here is the whole test run."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD,
-                           "check-duality", "--operad", "fcat:3", "--max", "6"],
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("ok: ")
+    assert proc.stdout.startswith(stdout_start)
     peak_kib = int(proc.stderr.split()[-1])
-    assert peak_kib < 100 * 1024
+    assert peak_kib < peak_mib * 1024
 
 
 def test_check_duality_empty_alphabet(capsys):

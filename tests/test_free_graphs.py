@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 
@@ -8,8 +9,8 @@ from opergraph.free_graphs import (OracleBoundError, hook_closed_form,
                                    linear_extensions, multinomial,
                                    phi_free, phi_self_singleton, prefix_graph,
                                    prefix_pair, self_pair, theta_row_sums,
-                                   theta_table, twisted_graph, twisted_hook,
-                                   up_star_free, v_star_free)
+                                   twisted_graph, twisted_hook, up_star_free,
+                                   v_star_free)
 from opergraph.operads import TreeUniverse
 from opergraph.tree import nf
 
@@ -134,18 +135,31 @@ def test_multinomial():
 
 
 def test_theta_examples(a2, a2c3):
-    table = theta_table(a2, 3)
-    assert table[(0, 1)] == 1
-    assert sum(c for (d, _), c in table.items() if d == 3) == 6
-    table = theta_table(a2c3, 4)
-    assert sum(c for (d, _), c in table.items() if d == 4) == 938
+    assert theta_row_sums(a2, 0) == [1]
+    assert theta_row_sums(a2, 3)[3] == 6
+    assert theta_row_sums(a2c3, 4)[4] == 938
     assert theta_row_sums(a2, 7) == [1, 1, 2, 6, 24, 120, 720, 5040]
 
 
-def test_theta_rows_live_inside_the_arity_window(a2c3):
-    m = a2c3.max_arity()
-    for (d, n) in theta_table(a2c3, 5):
-        assert 1 <= n <= 1 + (m - 1) * d
+def theta_by_letter_words(alphabet, d):
+    """Initial paths to degree d counted one letter word w at a time: the
+    k-th graft has 1 + sum_{j<k} (|w_j| - 1) leaves to choose from."""
+    total = 0
+    for word in product(alphabet, repeat=d):
+        leaves, count = 1, 1
+        for letter in word:
+            count *= leaves
+            leaves += letter.arity - 1
+        total += count
+    return total
+
+
+@pytest.mark.parametrize("text,d_max", [
+    ("a:2,c:3", 10), ("e:1,a:2,c:3", 8), ("c:3,d:4", 10), ("e:1", 6), ("", 4)])
+def test_theta_row_sums_match_the_letter_word_oracle(text, d_max):
+    alphabet = Alphabet.parse(text)
+    assert theta_row_sums(alphabet, d_max) == \
+        [theta_by_letter_words(alphabet, d) for d in range(d_max + 1)]
 
 
 def test_nf_and_phi_free(a2, eac):

@@ -481,21 +481,24 @@ def test_wrong_phi_on_a_free_pair_matches_the_oracle(a2c3):
 
 
 def test_structural_checks(a2c3):
+    """Both free graphs to rank 3 are graded, simple and rooted: every edge
+    goes up one rank with weight 1, and every hook is positive."""
     for build in (prefix_graph, twisted_graph):
         graph = build(a2c3)
-        ok, witness = graph.check_graded(3)
-        assert ok, witness
-        ok, witness = graph.check_simple(3)
-        assert ok, witness
-        ok, witness = graph.check_rooted(3)
-        assert ok, witness
+        exported = graph.export_json(4)
+        rank = {node["id"]: node["rank"] for node in exported["nodes"]}
+        for edge in exported["edges"]:
+            assert (rank[edge["dst"]], edge["w"]) == (rank[edge["src"]] + 1, 1), edge
+        for slice_ in graph.iter_hook_slices(3):
+            assert min(slice_.values()) > 0
 
 
-def test_check_rooted_names_an_unreachable_element(a2):
+def test_an_edgeless_graph_gives_the_a_corolla_hook_0(a2):
     graph = GradedGraph(operads.TreeUniverse(a2), lambda x: {}, name="no edges",
                         outdegree=lambda x: 0)
-    assert graph.check_rooted(0) == (True, None)
-    assert graph.check_rooted(2) == (False, corolla(a2["a"]))
+    unit_slice, first_slice = graph.iter_hook_slices(1)
+    assert unit_slice == {LEAF: 1}
+    assert first_slice == {corolla(a2["a"]): 0}
 
 
 def test_dot_export(a2):
