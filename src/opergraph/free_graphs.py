@@ -7,11 +7,12 @@ internal node reachable without first-child steps whose children beyond the
 first are leaves); its adjoint inserts above first children only.
 
 Trees over an alphabet are the free operad ``operads.TreeUniverse``, which
-carries these four maps; the graphs come from the builders in ``operads``,
-and the alphabet-taking functions here are calls on that universe.  The
-two hook closed forms are products over the internal nodes of a tree.  The
-initial path counts of both graphs come from integer recurrences on that
-universe (``TreeUniverse.up_paths`` and ``v_paths``), which build no tree.
+carries these four maps; the builders in ``operads`` give a new graph per
+call, and the alphabet-taking functions here are calls on that universe
+(the star maps read its closed-form rows and build no graph).  The two hook
+closed forms are products over the internal nodes of a tree.  The initial
+path counts of both graphs come from integer recurrences on that universe
+(``TreeUniverse.up_paths`` and ``v_paths``), which build no tree.
 """
 from __future__ import annotations
 
@@ -31,11 +32,13 @@ from .tree import SyntaxTree, _deletions, _subtrees, node_stats
 # -- the star maps ----------------------------------------------------------------
 
 def up_star_free(t: SyntaxTree, alphabet: Alphabet) -> Combination:
-    return prefix_graph(alphabet).star(t)
+    universe = TreeUniverse(alphabet)
+    return Combination(universe, universe.up_star(t))
 
 
 def v_star_free(t: SyntaxTree, alphabet: Alphabet) -> Combination:
-    return twisted_graph(alphabet).star(t)
+    universe = TreeUniverse(alphabet)
+    return Combination(universe, universe.v_star(t))
 
 
 # -- hook statistics ------------------------------------------------------------

@@ -34,7 +34,8 @@ is ``len(v_explicit(x))``; the trees count the places where ``v_explicit``
 puts a new root, and build no tree.  The row sums are the tests' oracle.
 
 The graph builders at the end of this module are the only ones.  They take
-any operad, the free ones included.
+any operad, the free ones included, and build a new graph on every call:
+its reverse-edge table is the caller's, and goes with the graph.
 """
 from __future__ import annotations
 
@@ -52,6 +53,10 @@ from .tree import (LEAF, SyntaxTree, _contractions, _deletions, _rebuild, _subtr
 
 class OracleBoundError(ValueError):
     """Input too large for a brute-force oracle."""
+
+
+# the largest degree the treelike-expression oracles enumerate trees to
+ORACLE_BOUND = 6
 
 
 _DIGITS = dict(enumerate("0123456789"))
@@ -425,13 +430,6 @@ class TreeUniverse(Operad):
     def name(self) -> str:
         return self.alphabet.render()
 
-    # on the alphabet, so that a graph-cache lookup never renders ``name``
-    def __eq__(self, other):
-        return type(other) is type(self) and self.alphabet == other.alphabet
-
-    def __hash__(self):
-        return hash((type(self), self.alphabet))
-
     @cached_property
     def generators(self) -> tuple[SyntaxTree, ...]:
         return tuple(corolla(letter) for letter in self.alphabet)
@@ -530,10 +528,8 @@ FCAT_MAX_M = 10_000
 
 @lru_cache(maxsize=None)
 def get_operad(selector: str) -> Operad:
-    """Selector strings: as | dias | comp | motz | fcat:<m>."""
+    """Selector strings: as | dias | comp | motz | fcat:<m>; one operad per normal form."""
     key = selector.strip().lower()
-    if key in _OPERADS:
-        return _OPERADS[key]()
     name, _, m = key.partition(":")
     if name == "fcat":
         try:
@@ -544,8 +540,12 @@ def get_operad(selector: str) -> Operad:
             raise ValueError(f"expected fcat:<m> with an integer m >= 0, got {selector!r}")
         if m > FCAT_MAX_M:
             raise ValueError(f"fcat:<m> takes m up to {FCAT_MAX_M}, got {selector!r}")
-        return FCatOperad(m)
-    raise ValueError(f"unknown operad selector {selector!r}")
+        key = f"fcat:{m}"
+    elif key not in _OPERADS:
+        raise ValueError(f"unknown operad selector {selector!r}")
+    if key != selector:
+        return get_operad(key)
+    return FCatOperad(m) if name == "fcat" else _OPERADS[key]()
 
 
 # -- treelike expressions ------------------------------------------------------------
@@ -580,21 +580,21 @@ def evaluate_tree(op: Operad, t: SyntaxTree):
     return x
 
 
-def treelike_expressions(op: Operad, x, bound: int = 6) -> list[SyntaxTree]:
+def treelike_expressions(op: Operad, x) -> list[SyntaxTree]:
     """All trees over the generator alphabet evaluating to x."""
     d = op.degree(x)
-    if d > bound:
-        raise OracleBoundError(f"degree {d} exceeds the oracle bound {bound}")
+    if d > ORACLE_BOUND:
+        raise OracleBoundError(f"degree {d} exceeds the oracle bound {ORACLE_BOUND}")
     alphabet, _ = generator_alphabet(op)
     return [t for t in enumerate_trees(alphabet, d) if evaluate_tree(op, t) == x]
 
 
-def v_operad_oracle(op: Operad, x, bound: int = 6) -> Combination:
+def v_operad_oracle(op: Operad, x) -> Combination:
     """Twisted successors through treelike expressions: evaluate the free
     twisted map on every expression of x and collect the images."""
     free = TreeUniverse(generator_alphabet(op)[0])
     seen = {evaluate_tree(op, t2)
-            for t in treelike_expressions(op, x, bound) for t2 in free.v_explicit(t)}
+            for t in treelike_expressions(op, x) for t2 in free.v_explicit(t)}
     return Combination(op, dict.fromkeys(seen, 1))
 
 
@@ -652,14 +652,12 @@ def theta_row_sums(alphabet: Alphabet, d_max: int) -> list[int]:
 
 # -- graph builders ------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def prefix_graph(op: Operad) -> GradedGraph:
     """Grafting graph of any operad, the free ones (``TreeUniverse``) included."""
     return GradedGraph(op, op.up_row, star=op.up_star, outdegree=op.up_outdegree,
                        paths=op.up_paths, name=f"prefix({op.name})")
 
 
-@lru_cache(maxsize=None)
 def twisted_graph(op: Operad) -> GradedGraph:
     return GradedGraph(op, op.v_row, star=op.v_star, outdegree=op.v_outdegree,
                        paths=op.v_paths, name=f"twisted({op.name})")

@@ -442,7 +442,6 @@ def _degree_slices(alphabet: Alphabet) -> list[tuple[SyntaxTree, ...]]:
     return [(LEAF,)]
 
 
-@lru_cache(maxsize=None)
 def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     if parts == 1:
         return ((total,),)

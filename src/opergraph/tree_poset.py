@@ -11,7 +11,6 @@ and builds no shadow, whose load stays its oracle.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from operator import attrgetter
 
@@ -120,7 +119,6 @@ def prefixes(t: SyntaxTree) -> list[SyntaxTree]:
     return sorted(_prefixes(t), key=_degree)
 
 
-@lru_cache(maxsize=None)
 def _prefixes(t: SyntaxTree) -> tuple[SyntaxTree, ...]:
     """The prefixes of t in term order: the leaf, then t's letter over the
     product of the children's lists.  Terms are prefix-free and ``*`` sorts

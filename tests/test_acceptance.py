@@ -256,9 +256,10 @@ def test_criterion_13_chain_hooks_resolved_by_path_oracle():
         oracle = graph.path_weight_sum(1, n)
         assert oracle == math.factorial(n - 1)
         assert hooks[n] == oracle
-    # the bundled fixture pins the same convention
-    results = verify_fixtures("as-hook")
-    assert results and all(ok for _, ok, _, _ in results)
+    # the bundled fixture pins the same convention; the filter is a substring,
+    # so it also matches dias-hook
+    results = {fx["id"]: ok for fx, ok, _, _ in verify_fixtures("as-hook")}
+    assert results.get("as-hook") is True and all(results.values())
     _report(13, "chain hooks pinned to the path-weight oracle", started)
 
 

@@ -131,6 +131,17 @@ def test_operad_commands(capsys):
     assert rows["0110"] == "6"
 
 
+@pytest.mark.parametrize("row, out", [
+    ("up", "100000000000000000000*100000000000000000001"),
+    ("v", "1*100000000000000000001"),
+], ids=["up", "v"])
+def test_chain_rows_of_an_unbounded_integer(capsys, row, out):
+    """The chain's elements are ints of any size, printed in full."""
+    code, got = run(capsys, "operad", "as", row, "--element", "100000000000000000000")
+    assert code == 0
+    assert got == out + "\n"
+
+
 def test_export_dot_counts(capsys):
     code, out = run(capsys, "export-dot", "--alphabet", "a:2", "--graph", "u",
                     "--max", "3")

@@ -21,7 +21,7 @@ def test_up_adjoint_examples(a2):
 def test_up_adjoint_outside_the_graph(a2, a2c3):
     """An element no edge reaches has an empty row, however often it is
     asked for, and the rows of its rank stay as they were."""
-    graph = operads.prefix_graph.__wrapped__(operads.TreeUniverse(a2))
+    graph = operads.prefix_graph(operads.TreeUniverse(a2))
     foreign = corolla(a2c3["c"])
     assert not graph.up_adjoint(foreign) and not graph.up_adjoint(foreign)
     assert list(graph._table_row(corolla(a2["a"]))) == [(LEAF, 1)]
@@ -244,7 +244,7 @@ def test_initial_paths_series_never_builds_the_top_rank(monkeypatch, case):
         return elements_of_rank(rank)
 
     monkeypatch.setattr(universe, "elements_of_rank", below_the_barred)
-    graph = build.__wrapped__(universe)  # a graph of its own, not the cached one
+    graph = build(universe)
     interned = _interned_trees()
     assert graph.initial_paths_series(top).t_coeff_list(top) == expected
     if not sums_slices:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from collections import Counter
 from dataclasses import is_dataclass
 from itertools import product
@@ -6,9 +8,8 @@ from itertools import product
 import pytest
 
 from opergraph import (LEAF, Alphabet, Combination, Letter, TreeUniverse, compose_index,
-                       corolla, enumerate_trees, free_graphs, is_prefix, node, parse_term)
+                       corolla, enumerate_trees, is_prefix, node, parse_term)
 from opergraph.free_graphs import OracleBoundError
-from opergraph.graded_graph import GradedGraphPair
 from opergraph.operads import (AsOperad, CompOperad, FCatOperad, Operad,
                                WordOperad, evaluate_tree,
                                generator_alphabet, get_operad, minimal_generators,
@@ -198,8 +199,7 @@ def test_direct_rows_never_compose(monkeypatch):
     monkeypatch.setattr(WordOperad, "compose", refuse)
     monkeypatch.setattr(AsOperad, "compose", refuse)
     for op in [AsOperad(), CompOperad()] + [FCatOperad(m) for m in (1, 2, 3)]:
-        # fresh graphs: the cached builders may hold slices grown before
-        pair = GradedGraphPair(prefix_graph.__wrapped__(op), twisted_graph.__wrapped__(op))
+        pair = prefix_pair(op)
         assert pair.check_phi_diagonal(op.phi, 4).ok, op
         assert pair.v._reverse == {}, op
 
@@ -212,8 +212,7 @@ def test_closed_form_stars_fill_no_reverse_edge_table(universe):
     """A graph with a closed-form star map never fills its reverse-edge
     table, neither in the duality check nor in the hooks; the prefix graphs
     of the operads have none and fill theirs."""
-    pair = GradedGraphPair(prefix_graph.__wrapped__(universe),
-                           twisted_graph.__wrapped__(universe))
+    pair = prefix_pair(universe)
     assert pair.check_phi_diagonal(universe.phi, 4).ok
     list(pair.u.iter_hook_slices(4))
     list(pair.v.iter_hook_slices(4))
@@ -308,7 +307,7 @@ def test_treelike_expressions_comp():
     assert all(evaluate_tree(COMP, t) == (0, 1, 0) for t in trees)
     assert treelike_expressions(COMP, COMP.unit) == [LEAF]
     with pytest.raises(OracleBoundError):
-        treelike_expressions(COMP, tuple([0] * 10), bound=6)
+        treelike_expressions(COMP, tuple([0] * 10))
 
 
 @pytest.mark.parametrize("name, word", [("g00", (0, 0)), ("g01", (0, 1))])
@@ -509,15 +508,32 @@ def test_membership_rejects_a_foreign_letter_at_any_depth(eac):
     assert not free.contains((0, 1))
 
 
-def test_free_graph_lookup_compares_alphabets_without_rendering():
-    """Universes are equal and hash equal on equal alphabets, so a fresh
-    universe finds the cached graph without rendering its name."""
+def test_free_universes_on_equal_alphabets_are_equal():
+    """Universes are equal and hash equal on equal alphabets."""
     a2c3 = Alphabet.parse("a:2,c:3")
     same = Alphabet.parse(a2c3.render())
     assert same is not a2c3
     assert TreeUniverse(a2c3) == TreeUniverse(same)
     assert hash(TreeUniverse(a2c3)) == hash(TreeUniverse(same))
-    assert free_graphs.prefix_graph(a2c3) is free_graphs.prefix_graph(same)
-    fresh = TreeUniverse(Alphabet.parse("a:2,c:3"))
-    assert prefix_graph(fresh) is free_graphs.prefix_graph(a2c3)
-    assert "name" not in fresh.__dict__
+    assert TreeUniverse(a2c3) != TreeUniverse(Alphabet.parse("a:2"))
+
+
+def test_builders_give_fresh_graphs_and_a_dropped_pair_is_freed():
+    """Each builder call gives a graph of its own; a pair whose check filled
+    its V reverse-edge table is collected, table and all, once dropped."""
+    pair = prefix_pair(MOTZ)
+    assert pair.check_phi_diagonal(MOTZ.phi, 3).ok
+    assert pair.v._reverse
+    assert prefix_graph(MOTZ) is not pair.u
+    assert twisted_graph(MOTZ) is not pair.v
+    assert twisted_graph(MOTZ)._reverse == {}
+    dropped = weakref.ref(pair.v)
+    del pair
+    gc.collect()
+    assert dropped() is None
+
+
+def test_every_spelling_of_a_selector_gets_one_operad():
+    assert get_operad("FCAT:1") is get_operad("fcat:1")
+    assert get_operad(" fcat:01 ") is FCAT1
+    assert get_operad(" As") is AS

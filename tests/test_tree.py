@@ -441,13 +441,9 @@ def test_module_caches_are_the_pinned_ones():
                 found.add(f"{module.__name__}.{name}")
     assert found == {
         "opergraph.tree._INTERN",
-        "opergraph.tree._compositions",
         "opergraph.tree._degree_slices",
-        "opergraph.tree_poset._prefixes",
         "opergraph.operads.generator_alphabet",
         "opergraph.operads.get_operad",
-        "opergraph.operads.prefix_graph",
-        "opergraph.operads.twisted_graph",
     }
     assert not hasattr(nf, "cache_info")
     assert not hasattr(free_graphs, "_DEGREE_PRODUCTS")
