@@ -31,7 +31,8 @@ README = HERE.parent / "README.md"
 # a join with no upper bound, an unevaluated interval series and operad
 # generators in plain text; then path series whose top rank has trees the
 # rank below never shows (three letter arities), a degree-0 series and the
-# series of the empty alphabet
+# series of the empty alphabet; last the empty alphabet's interval series,
+# whose trailing zeros at q = 0 come from --max alone
 EXTRA = [
     "export-dot --alphabet a:2 --graph v --max 3",
     "export-dot --alphabet a:2 --graph u --max 2 --json",
@@ -89,6 +90,8 @@ EXTRA = [
     "paths-series --alphabet e:1,a:2,c:3 --graph u --max 6 --json",
     "paths-series --alphabet a:2 --graph v --max 0",
     "paths-series --alphabet '' --graph v --max 3",
+    "poset interval-series --alphabet '' --max 3",
+    "poset interval-series --alphabet '' --max 3 --q 0",
 ]
 
 
