@@ -120,7 +120,7 @@ def cmd_check_duality(args) -> int:
                "commutator": failure.commutator.to_json()}
     if failure.expected is not None:
         payload["expected"] = failure.expected.to_json()
-    return _emit(args, payload, [f"FAIL: {failure.render(universe)}"], 1)
+    return _emit(args, payload, [f"FAIL: {failure.render()}"], 1)
 
 
 def _terms(args, *names):
@@ -264,7 +264,7 @@ def _check_duality(fx: dict):
            if fx["kind"] == "free_self_duality" else universe.phi)
     report = pair.check_phi_diagonal(phi, fx["max_degree"])
     return report.ok, "diagonal", "diagonal" if report.ok else \
-        report.witness.render(universe)
+        report.witness.render()
 
 
 def _check_witness(fx: dict):

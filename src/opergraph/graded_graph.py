@@ -176,8 +176,9 @@ class DualityFailure:
     commutator: Combination
     expected: Combination | None = None
 
-    def render(self, universe) -> str:
-        msg = (f"commutator at {universe.render_elem(self.element)} "
+    def render(self) -> str:
+        render_elem = self.commutator.universe.render_elem
+        msg = (f"commutator at {render_elem(self.element)} "
                f"is {self.commutator.render()}")
         if self.expected is not None:
             msg += f", expected {self.expected.render()}"

@@ -552,7 +552,10 @@ def get_operad(selector: str) -> Operad:
 
 @lru_cache(maxsize=None)
 def generator_alphabet(op: Operad):
-    """A letter per generator (named g<word>), with the decoding map."""
+    """A letter per generator (named g<word>), with the decoding map.  A free
+    operad's alphabet is its own, each letter decoding to its corolla."""
+    if isinstance(op, TreeUniverse):
+        return op.alphabet, dict(zip(op.alphabet, op.generators))
     letters, mapping = [], {}
     for g in op.generators:
         name = "g" + op.render_elem(g).replace(",", "_")

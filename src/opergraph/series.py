@@ -5,9 +5,9 @@ The path and interval series are built elsewhere, each in closed form or by
 recurrence, and handed over here as a coefficient map; a ``Series2`` only
 stores it, answers coefficient queries, evaluates q at an integer and renders
 the result.  Coefficients are Python ints, exact at any size; a series rejects
-any other coefficient when it is built.  A series either carries the order in
-t it was computed to (``t_trunc``, and terms above it are dropped) or is exact
-(``t_trunc is None``).  Series in t alone are the case with no q marker.
+any other coefficient when it is built.  A series holds exactly the terms it
+was given, and ``t_coeff_list`` pads with zeros up to any degree asked for.
+Series in t alone are the case with no q marker.
 """
 from __future__ import annotations
 
@@ -16,32 +16,25 @@ from typing import Mapping
 
 
 class Series2:
-    """The polynomial sum c[i,j] * q^i * t^j, known up to t^t_trunc."""
+    """The polynomial sum c[i,j] * q^i * t^j."""
 
-    __slots__ = ("coeffs", "t_trunc")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], int] = (), t_trunc: int | None = None):
+    def __init__(self, coeffs: Mapping[tuple[int, int], int] = ()):
         clean: dict[tuple[int, int], int] = {}
         for (i, j), c in dict(coeffs).items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in monomial q^{i} t^{j}")
-            if t_trunc is not None and j > t_trunc:
-                continue
             if not isinstance(c, int):
                 raise TypeError(f"series coefficients are ints, got {c!r} at q^{i} t^{j}")
             if c:
                 clean[(i, j)] = c
         self.coeffs = clean
-        self.t_trunc = t_trunc
 
     # -- basic queries ------------------------------------------------------
 
     def coeff(self, q: int, t: int) -> int:
         return self.coeffs.get((q, t), 0)
-
-    def t_coeff(self, j: int) -> dict[int, int]:
-        """The coefficient of t^j as a map q-exponent -> coefficient."""
-        return {i: c for (i, jj), c in self.coeffs.items() if jj == j}
 
     def max_t_degree(self) -> int:
         return max((j for (_, j) in self.coeffs), default=0)
@@ -58,33 +51,25 @@ class Series2:
         for (i, j), c in self.coeffs.items():
             k = (0, j)
             out[k] = out.get(k, 0) + c * value ** i
-        return Series2(out, self.t_trunc)
+        return Series2(out)
 
     # -- comparison / rendering ---------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Series2)
-                and self.coeffs == other.coeffs
-                and self.t_trunc == other.t_trunc)
-
-    def __hash__(self):
-        return hash((frozenset(self.coeffs.items()), self.t_trunc))
+        return isinstance(other, Series2) and self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
-        return f"Series2({self.render()!r}, t_trunc={self.t_trunc})"
+        return f"Series2({self.render()!r})"
 
     def render(self) -> str:
         """Ascending in t; per t-degree the q-polynomial with its integer
         content factored out, e.g. ``1 + (1+q)t + 2(1+q+q^2)t^2``."""
         if not self.coeffs:
             return "0"
-        parts = []
-        for j in range(self.max_t_degree() + 1):
-            row = self.t_coeff(j)
-            if not row:
-                continue
-            parts.append(_render_row(row, j))
-        return " + ".join(parts)
+        rows: dict[int, dict[int, int]] = {}
+        for (i, j), c in self.coeffs.items():
+            rows.setdefault(j, {})[i] = c
+        return " + ".join(_render_row(rows[j], j) for j in sorted(rows))
 
     def __str__(self) -> str:
         return self.render()

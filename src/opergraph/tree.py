@@ -336,13 +336,6 @@ def compose_index(t: SyntaxTree, i: int, s: SyntaxTree) -> SyntaxTree:
     return _rebuild(spine, s)
 
 
-def leaf_index(t: SyntaxTree, u: Address) -> int:
-    sub = subtree_at(t, u)
-    if not sub.is_leaf:
-        raise AddressError(f"{format_address(u)} is not a leaf of {t.term}")
-    return node_stats(t).leaves.index(u) + 1
-
-
 def compose_address(t: SyntaxTree, u: Address, s: SyntaxTree) -> SyntaxTree:
     """Graft the root of s into the leaf at address u of t."""
     sub = subtree_at(t, u)

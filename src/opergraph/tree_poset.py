@@ -4,10 +4,11 @@ shadows and interval enumeration.
 The order is "s below t when t grows out of s"; meets intersect trees from
 the root, joins superimpose them (term unification) and exist exactly for
 pairs with a common upper bound.  Interval structure is controlled by the
-shadow, the nonplanar undecorated image of the difference forest.  An
-interval's size is a product of prefix counts, one per tree of the
-difference forest; ``interval_count`` takes it in one walk over both trees
-and builds no shadow, whose load stays its oracle.
+shadow, the nonplanar undecorated image of the difference forest: the
+sorted tuple of its trees' shadows, so two shadows are equal exactly when
+their shapes are.  An interval's size is a product of prefix counts, one
+per tree of the difference forest; ``interval_count`` takes it in one walk
+over both trees and builds no shadow, whose load stays its oracle.
 """
 from __future__ import annotations
 
@@ -69,45 +70,19 @@ def difference_forest(s: SyntaxTree, t: SyntaxTree) -> Forest:
 
 # -- shadows ---------------------------------------------------------------------
 
-class Shadow:
-    """Finite multiset of shadows; canonical form sorts children by their
-    own serialization, so equality is multiset equality."""
-
-    __slots__ = ("children", "serial")
-
-    def __init__(self, children=()):
-        kids = tuple(sorted(children, key=lambda s: s.serial))
-        self.children = kids
-        self.serial = "{" + ",".join(c.serial for c in kids) + "}"
-
-    def __eq__(self, other):
-        return isinstance(other, Shadow) and self.serial == other.serial
-
-    def __hash__(self):
-        return hash(self.serial)
-
-    def __str__(self):
-        return self.serial
-
-    def __repr__(self):
-        return f"<shadow {self.serial}>"
-
-
-EMPTY_SHADOW = Shadow()
-
-
-def shadow(t: SyntaxTree) -> Shadow:
+def shadow(t: SyntaxTree) -> tuple:
     """Forget planarity, decorations and leaves; keeps only the nesting of
-    internal nodes below the root."""
+    internal nodes below the root, as the sorted tuple of the internal
+    children's shadows."""
     if t.is_leaf:
         raise ValueError("the leaf has no shadow")
-    return Shadow(shadow(c) for c in t.children if not c.is_leaf)
+    return tuple(sorted(shadow(c) for c in t.children if not c.is_leaf))
 
 
-def load(s: Shadow) -> int:
+def load(s: tuple) -> int:
     """Product over children of (1 + load); sizes the ideals of the shadow."""
     out = 1
-    for c in s.children:
+    for c in s:
         out *= 1 + load(c)
     return out
 
@@ -129,10 +104,10 @@ def _prefixes(t: SyntaxTree) -> tuple[SyntaxTree, ...]:
     return (LEAF, *_nodes(t.letter, product(*[_prefixes(c) for c in t.children])))
 
 
-def interval_shadow(s: SyntaxTree, t: SyntaxTree) -> Shadow:
+def interval_shadow(s: SyntaxTree, t: SyntaxTree) -> tuple:
     if not poset_leq(s, t):
         raise NotComparableError(f"{s.term} is not a prefix of {t.term}")
-    return Shadow(shadow(r) for r in difference_forest(s, t) if not r.is_leaf)
+    return tuple(sorted(shadow(r) for r in difference_forest(s, t) if not r.is_leaf))
 
 
 def interval_count(s: SyntaxTree, t: SyntaxTree) -> int:
@@ -226,9 +201,9 @@ def stringy_count(alphabet: Alphabet, d: int) -> int:
     return count * arity_sum ** (d - 1)
 
 
-def interval_series(alphabet: Alphabet, t_trunc: int) -> Series2:
-    """Bivariate interval counts: q marks the degree of the lower bound,
-    t the degree of the upper bound.
+def interval_series(alphabet: Alphabet, order: int) -> Series2:
+    """Bivariate interval counts to t^order: q marks the degree of the lower
+    bound, t the degree of the upper bound.
 
     Solves F = 1 + t*R(G) + q*t*R(F) with G = F - q*t*R(F), where R is the
     alphabet's counting polynomial.  The two split into G = 1 + t*R(G) (the
@@ -243,14 +218,14 @@ def interval_series(alphabet: Alphabet, t_trunc: int) -> Series2:
     top = max(weights, default=1)
     f_pows: list[list[list[int]]] = [[] for _ in range(top)]
     f_row = [1]
-    for n in range(t_trunc + 1):
+    for n in range(order + 1):
         if n:
             # G's row is R(F)'s q^0 entry; adding q*R(F) shifts R(F)'s row up
             row = _weighted_row(f_pows, weights, n - 1)
             f_row = row[:1] + row
         _extend_powers(f_pows, f_row)
     return Series2({(i, n): c for n, row in enumerate(f_pows[0])
-                    for i, c in enumerate(row)}, t_trunc)
+                    for i, c in enumerate(row)})
 
 
 def _extend_powers(pows: list[list[list[int]]], row: list[int]) -> None:

@@ -74,7 +74,7 @@ def test_criterion_03_free_pair_diagonal_duality():
         alphabet = Alphabet.parse(text)
         report = free_graphs.prefix_pair(alphabet).check_phi_diagonal(
             lambda t: phi_free(t, alphabet), depth)
-        assert report.ok, report.witness.render(TreeUniverse(alphabet))
+        assert report.ok, report.witness.render()
     _report(3, "free-pair diagonal duality", started, budget=60)
 
 

@@ -366,7 +366,7 @@ def test_check_phi_diagonal_dias_uv_fails():
     witness = report.witness
     assert witness.element == (1, 0)
     assert witness.commutator == Combination(dias, {(1, 0): 3, (0, 1): 2})
-    assert witness.render(dias) == "commutator at 10 is 2*01 + 3*10"
+    assert witness.render() == "commutator at 10 is 2*01 + 3*10"
     # discovery collected the diagonal part seen before the failure
     assert report.table[(0,)] == 2
     assert summary(report) == reference_report(pair, None, 3)

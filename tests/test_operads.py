@@ -349,6 +349,17 @@ def test_v_oracle_matches_explicit(op):
         assert v_operad_oracle(op, x).support() == twisted_graph(op).up(x).support()
 
 
+def test_the_free_operad_is_its_own_generator_alphabet(a2c3):
+    """A free operad's letters decode to their corollas, so every tree is its
+    own one treelike expression and the oracle gives its twisted row."""
+    free = TreeUniverse(a2c3)
+    twisted = twisted_graph(free)
+    for t in elements_up_to(free, 3):
+        assert evaluate_tree(free, t) is t
+        assert treelike_expressions(free, t) == [t]
+        assert v_operad_oracle(free, t).support() == twisted.up(t).support()
+
+
 def test_phi_examples():
     assert DIAS.phi((0,)) == 2
     assert DIAS.phi((1, 0)) == 9

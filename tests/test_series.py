@@ -29,7 +29,7 @@ def test_fractions_are_rejected():
 
 
 def test_eval_q():
-    series = Series2({(0, 0): 1, (1, 1): 2, (2, 1): 1}, 1)
+    series = Series2({(0, 0): 1, (1, 1): 2, (2, 1): 1})
     assert series.eval_q(1).t_coeff_list(1) == [1, 3]
     assert series.eval_q(0).t_coeff_list(1) == [1, 0]
 

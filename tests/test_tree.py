@@ -11,8 +11,7 @@ from opergraph import (LEAF, Alphabet, Letter, SyntaxTree, TreeUniverse, compose
                        delete_node, enumerate_trees, free_graphs, is_prefix, node,
                        node_stats, parse_term, subtree_at)
 from opergraph.free_graphs import hook_closed_form, twisted_graph, twisted_hook
-from opergraph.tree import (_INTERN, AddressError, ParseError, format_address,
-                            leaf_index, nf)
+from opergraph.tree import _INTERN, AddressError, ParseError, format_address, nf
 from opergraph.tree_poset import is_stringy
 
 from series_oracle import interval_series_by_iteration
@@ -144,11 +143,11 @@ def test_operad_axioms_exhaustive(a2):
 
 
 def test_leaf_index_agrees_with_compose_index(a2c3):
+    """The i-th leaf of ``node_stats`` is the leaf ``compose_index`` grafts at i."""
     t = parse_term("c[a[*,*],*,c[*,a[*,*],*]]", a2c3)
     s = corolla(a2c3["a"])
     leaves = node_stats(t).leaves
     for i, address in enumerate(leaves, start=1):
-        assert leaf_index(t, address) == i
         assert compose_address(t, address, s) == compose_index(t, i, s)
 
 
