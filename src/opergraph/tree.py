@@ -2,11 +2,13 @@
 
 Trees are immutable and hash-consed: ``node`` interns each tree by its root
 letter and its tuple of (already interned) children, so structurally equal
-trees are one object, equality and hashing are identity, and a node costs
-one tuple hash over its children.  The textual canonical form (``*`` for
-the leaf, ``name[child,...]`` for internal nodes) is the print form and the
-sole ordering witness; it is rendered on first use and cached on the node.
-Each node also caches its deletions and contractions (the two star maps).
+live trees are one object, equality and hashing are identity, and a node
+costs one tuple hash over its children.  The textual canonical form (``*``
+for the leaf, ``name[child,...]`` for internal nodes) is the print form and
+the sole ordering witness; it is rendered on first use and cached on the
+node.  Each node also caches its deletions and contractions (the two star
+maps).  The intern table holds each tree weakly: a tree that no caller holds
+is freed, with those caches, and its entry leaves the table.
 The free operad these trees form is ``operads.TreeUniverse``.
 
 Walks over every internal node use ``_subtrees``, and edits at one address
@@ -19,7 +21,7 @@ Node addresses are tuples of positive integers; the empty tuple is the root.
 """
 from __future__ import annotations
 
-from collections import defaultdict
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -49,7 +51,7 @@ class SyntaxTree:
     """
 
     __slots__ = ("letter", "children", "degree", "arity", "is_leaf", "_term",
-                 "_deletions", "_contractions")
+                 "_deletions", "_contractions", "__weakref__")
 
     def __init__(self, letter: Letter | None, children: tuple["SyntaxTree", ...]):
         degree, arity = 1, 0
@@ -109,13 +111,56 @@ def _render(t: SyntaxTree) -> str:
     return "".join(parts)
 
 
-# one table per letter name, keyed by the tuple of (interned) children
-_INTERN: defaultdict[str, dict[tuple[SyntaxTree, ...], SyntaxTree]] = defaultdict(dict)
+class _Ref(weakref.ref):
+    """An intern table's weak hold on a tree, with the tree's key."""
+
+    __slots__ = ("key",)
+
+
+class _Table(dict):
+    """One letter's intern table: children tuple -> ``_Ref`` to the tree.
+    A tree's death drops its entry, unless a new tree has taken the key in
+    the meantime (the collector may run the callback late)."""
+
+    __slots__ = ("drop",)
+
+    def __init__(self):
+        # one callback for the whole table: a bound method would be a new
+        # object held by every reference
+        def drop(ref):
+            if self.get(ref.key) is ref:
+                del self[ref.key]
+        self.drop = drop
+
+
+# one table per letter name
+_INTERN: dict[str, _Table] = {}
 
 LEAF = SyntaxTree(None, ())
 LEAF.degree, LEAF.arity = 0, 1  # the only tree with no internal node
 LEAF._term = "*"
 LEAF._deletions = LEAF._contractions = ()
+
+
+def _node(letter: Letter, kids: tuple[SyntaxTree, ...]) -> SyntaxTree:
+    """The one intern lookup: the live tree with this letter over these
+    children, built and entered when there is none.  Nothing checks that
+    the children fit the letter's arity."""
+    table = _INTERN.get(letter.name)
+    if table is None:
+        table = _INTERN[letter.name] = _Table()
+    ref = table.get(kids)
+    tree = ref and ref()
+    if tree is None:
+        tree = SyntaxTree(letter, kids)
+        ref = table[kids] = _Ref(tree, table.drop)
+        ref.key = kids
+    return tree
+
+
+def _nodes(letter: Letter, kid_tuples) -> list[SyntaxTree]:
+    """``_node(letter, kids)`` for each tuple of children, in order."""
+    return [_node(letter, kids) for kids in kid_tuples]
 
 
 def node(letter: Letter, children) -> SyntaxTree:
@@ -124,26 +169,7 @@ def node(letter: Letter, children) -> SyntaxTree:
     if len(children) != letter.arity:
         raise ValueError(
             f"letter {letter.name!r} has arity {letter.arity}, got {len(children)} children")
-    table = _INTERN[letter.name]
-    tree = table.get(children)
-    if tree is None:
-        tree = table[children] = SyntaxTree(letter, children)
-    return tree
-
-
-def _nodes(letter: Letter, kid_tuples) -> list[SyntaxTree]:
-    """``node(letter, kids)`` for each tuple of children, in order, with the
-    letter's intern table fetched once.  The tuples must have the letter's
-    arity; nothing checks it."""
-    table = _INTERN[letter.name]
-    get = table.get
-    out = []
-    for kids in kid_tuples:
-        tree = get(kids)
-        if tree is None:
-            tree = table[kids] = SyntaxTree(letter, kids)
-        out.append(tree)
-    return out
+    return _node(letter, children)
 
 
 def corolla(letter: Letter) -> SyntaxTree:
@@ -202,11 +228,7 @@ def parse_term(text: str, alphabet: Alphabet) -> SyntaxTree:
                 raise ParseError(f"letter {letter.name!r} has arity {letter.arity}, "
                                  f"got {len(children)} children", start)
             stack.pop()
-            kids = tuple(children)
-            table = _INTERN[letter.name]
-            tree = table.get(kids)
-            if tree is None:
-                tree = table[kids] = SyntaxTree(letter, kids)
+            tree = _node(letter, tuple(children))
         else:
             while pos < n and text[pos].isspace():
                 pos += 1

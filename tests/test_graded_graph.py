@@ -224,14 +224,11 @@ SERIES_BUILD_CASES = {
 }
 
 
-def _interned_trees() -> int:
-    return sum(map(len, tree._INTERN.values()))
-
-
 @pytest.mark.parametrize("case", SERIES_BUILD_CASES)
 def test_initial_paths_series_never_builds_the_top_rank(monkeypatch, case):
-    """A graph with a recurrence builds no element of any rank and interns
-    no tree; a graph that sums hook slices builds none of the top rank."""
+    """A graph with a recurrence builds no element of any rank and no tree,
+    not even one it drops; a graph that sums hook slices builds none of the
+    top rank."""
     make_universe, build, expected, sums_slices = SERIES_BUILD_CASES[case]
     universe = make_universe()
     top = len(expected) - 1
@@ -245,10 +242,17 @@ def test_initial_paths_series_never_builds_the_top_rank(monkeypatch, case):
 
     monkeypatch.setattr(universe, "elements_of_rank", below_the_barred)
     graph = build(universe)
-    interned = _interned_trees()
+    built = []
+    init = tree.SyntaxTree.__init__
+
+    def counting_init(self, letter, children):
+        built.append(letter)
+        init(self, letter, children)
+
+    monkeypatch.setattr(tree.SyntaxTree, "__init__", counting_init)
     assert graph.initial_paths_series(top).t_coeff_list(top) == expected
     if not sums_slices:
-        assert _interned_trees() == interned
+        assert not built
 
 
 def test_returning_hooks_free_pair_by_path_pairs(a2):

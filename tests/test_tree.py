@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -258,12 +259,25 @@ def _render_recursively(t: SyntaxTree) -> str:
 def test_trees_are_interned_by_letter_and_children(a2c3):
     assert "__eq__" not in vars(SyntaxTree) and "__hash__" not in vars(SyntaxTree)
     t = parse_term("c[a[*,*],*,*]", a2c3)
-    assert _INTERN["c"][t.children] is t
+    assert _INTERN["c"][t.children]() is t
     assert all(type(key) is tuple and all(isinstance(c, SyntaxTree) for c in key)
                for key in _INTERN["c"])
     assert node(Letter("c", 3), t.children) is t
     with pytest.raises(ValueError, match="arity"):
         node(Letter("c", 2), t.children)
+
+
+def test_the_intern_table_holds_trees_weakly():
+    """Two live builds of one term are one object; once nobody holds the
+    tree, it is freed at once and its entry leaves the table."""
+    held = Alphabet.parse("held:2,one:1")
+    t = parse_term("held[one[*],held[*,*]]", held)
+    assert parse_term(t.term, held) is t is node(held["held"], t.children)
+    key, dead = t.children, weakref.ref(t)
+    del t
+    assert dead() is None and key not in _INTERN["held"]
+    # the children stay, held by the key
+    assert _INTERN["held"][(LEAF, LEAF)]() is key[1]
 
 
 def _parse_term_recursive(text, alphabet):

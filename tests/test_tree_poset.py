@@ -14,6 +14,7 @@ from opergraph.tree_poset import (NotComparableError, difference_forest,
                                   interval_shadow, is_stringy, join, load,
                                   meet, poset_leq, prefixes, shadow,
                                   stringy_count)
+from opergraph.tree import _INTERN
 
 from series_oracle import interval_series_by_iteration
 
@@ -243,6 +244,29 @@ def test_interval_count_is_the_number_of_elements(eac):
             assert count == len(interval_elements(s, t))
             enumerated += 1
     assert enumerated >= 300
+
+
+def _answer_query(alphabet, rng):
+    """One seeded prefix-order query: three terms parsed, then their meet,
+    join and interval."""
+    t = _random_tree(alphabet, rng.randint(4, 14), rng)
+    terms = [t.term] + [_random_prefix(t, rng, rng.random()).term for _ in range(2)]
+    del t
+    t, s, t2 = (parse_term(term, alphabet) for term in terms)
+    count = interval(s, t)
+    return meet(s, t2), join(s, t2), count, interval(s, t, "elements") if count <= 256 else None
+
+
+def test_dropped_query_answers_leave_the_intern_table(eac):
+    def interned():
+        return sum(map(len, _INTERN.values()))
+
+    baseline = interned()
+    rng = random.Random(37)
+    answers = [_answer_query(eac, rng) for _ in range(2000)]
+    assert interned() > baseline
+    del answers
+    assert interned() == baseline
 
 
 def test_interval_elements_are_the_prefixes_above_the_lower_bound(eac):
