@@ -35,7 +35,9 @@ def _arity(text: str, piece: str, form: str) -> int:
 class Alphabet:
     """Finite ordered collection of letters; declaration order is canonical."""
 
-    __slots__ = ("letters", "_by_name")
+    # ``get(name)`` is the name table's own ``dict.get``: the letter of that
+    # name, or None
+    __slots__ = ("letters", "_by_name", "get")
 
     def __init__(self, letters):
         letters = tuple(letters)
@@ -48,6 +50,7 @@ class Alphabet:
             by_name[letter.name] = letter
         self.letters = letters
         self._by_name = by_name
+        self.get = by_name.get
 
     @classmethod
     def parse(cls, text: str) -> "Alphabet":
@@ -86,9 +89,6 @@ class Alphabet:
 
     def __getitem__(self, name: str) -> Letter:
         return self._by_name[name]
-
-    def get(self, name: str) -> Letter | None:
-        return self._by_name.get(name)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Alphabet) and self.letters == other.letters

@@ -234,13 +234,16 @@ class GradedGraphPair:
 
         The check runs one rank slice at a time.  For x of rank r it sums
         the two halves V*U(x) and UV*(x) into plain dicts, from the U row of
-        x, the star rows of ranks r and r+1 and the U rows of rank r-1, each
-        computed once (the rows of rank r-1 are dropped when rank r is
-        done).  When V*(x) is one element of weight 1, UV*(x) is that
-        element's U row itself.  Weights are positive, so neither half holds
-        a zero and the commutator is diagonal when the halves are equal
-        dicts off x; the difference and a ``Combination`` are built only for
-        a failure.  ``duality_commutator`` is its independent oracle.
+        x, the star rows of x and of each y in that row, and the U rows of
+        rank r-1.  The U rows and the rank r star rows are computed once
+        each (the rows of rank r-1 are dropped when rank r is done); a rank
+        r+1 star row is computed once per U edge into it, so a y reached
+        from several x is asked again each time.  When V*(x) is one element
+        of weight 1, UV*(x) is that element's U row itself.  Weights are
+        positive, so neither half holds a zero and the commutator is
+        diagonal when the halves are equal dicts off x; the difference and a
+        ``Combination`` are built only for a failure.  ``duality_commutator``
+        is its independent oracle.
         """
         table: dict | None = None if phi is not None else {}
         up, star = self.u._up, self.v._star

@@ -11,6 +11,13 @@ maps).  The intern table holds each tree weakly: a tree that no caller holds
 is freed, with those caches, and its entry leaves the table.
 The free operad these trees form is ``operads.TreeUniverse``.
 
+Public ``node`` copies its children and checks them against the letter's
+arity.  Internal walks whose children always fit (the parser, rebuilds
+along a spine, the star maps, enumeration, composition and the lattice
+operations) build through ``_node`` and, for a whole batch over one letter,
+``_nodes``, which intern without that check; ``_enter`` is the one place a
+tree is made and entered in its table.
+
 Walks over every internal node use ``_subtrees``, and edits at one address
 rebuild the path above it with ``_rebuild``.  Like the parser, the renderer,
 ``nf`` and ``node_stats``, they keep an explicit stack, so that depth is no
@@ -46,26 +53,13 @@ class AddressError(ValueError):
 class SyntaxTree:
     """Either the leaf or a letter with exactly ``letter.arity`` subtrees.
 
-    Build trees with ``node``, never with this constructor: interning is what
-    makes identity the equality.
+    Build trees with ``node``: interning is what makes identity the
+    equality.  The class has no constructor of its own; ``_enter`` makes
+    every internal node, and ``LEAF`` is made once, below.
     """
 
     __slots__ = ("letter", "children", "degree", "arity", "is_leaf", "_term",
                  "_deletions", "_contractions", "__weakref__")
-
-    def __init__(self, letter: Letter | None, children: tuple["SyntaxTree", ...]):
-        degree, arity = 1, 0
-        for c in children:
-            degree += c.degree
-            arity += c.arity
-        self.letter = letter
-        self.children = children
-        self.degree = degree
-        self.arity = arity
-        self.is_leaf = letter is None
-        self._term = None
-        self._deletions = None
-        self._contractions = None
 
     @property
     def term(self) -> str:
@@ -133,38 +127,80 @@ class _Table(dict):
         self.drop = drop
 
 
-# one table per letter name
-_INTERN: dict[str, _Table] = {}
+class _Tables(dict):
+    """The intern tables by letter name; a name's table is made on first
+    use."""
 
-LEAF = SyntaxTree(None, ())
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> _Table:
+        table = self[name] = _Table()
+        return table
+
+
+_INTERN: dict[str, _Table] = _Tables()
+
+_new = object.__new__
+
+LEAF = _new(SyntaxTree)
+LEAF.letter, LEAF.children, LEAF.is_leaf = None, (), True
 LEAF.degree, LEAF.arity = 0, 1  # the only tree with no internal node
 LEAF._term = "*"
 LEAF._deletions = LEAF._contractions = ()
 
 
+def _enter(table: _Table, letter: Letter, kids: tuple[SyntaxTree, ...]) -> SyntaxTree:
+    """Make the tree with this letter over these children and enter it in
+    the letter's table, held weakly under its key: the one place a tree is
+    built."""
+    degree, arity = 1, 0
+    for c in kids:
+        degree += c.degree
+        arity += c.arity
+    tree = _new(SyntaxTree)
+    tree.letter = letter
+    tree.children = kids
+    tree.degree = degree
+    tree.arity = arity
+    tree.is_leaf = False
+    tree._term = tree._deletions = tree._contractions = None
+    ref = table[kids] = _Ref(tree, table.drop)
+    ref.key = kids
+    return tree
+
+
 def _node(letter: Letter, kids: tuple[SyntaxTree, ...]) -> SyntaxTree:
-    """The one intern lookup: the live tree with this letter over these
-    children, built and entered when there is none.  Nothing checks that
-    the children fit the letter's arity."""
-    table = _INTERN.get(letter.name)
-    if table is None:
-        table = _INTERN[letter.name] = _Table()
+    """The live tree with this letter over these children, built and
+    entered when there is none.  Nothing checks that the children fit the
+    letter's arity."""
+    table = _INTERN[letter.name]
     ref = table.get(kids)
     tree = ref and ref()
     if tree is None:
-        tree = SyntaxTree(letter, kids)
-        ref = table[kids] = _Ref(tree, table.drop)
-        ref.key = kids
+        tree = _enter(table, letter, kids)
     return tree
 
 
 def _nodes(letter: Letter, kid_tuples) -> list[SyntaxTree]:
-    """``_node(letter, kids)`` for each tuple of children, in order."""
-    return [_node(letter, kids) for kids in kid_tuples]
+    """``_node(letter, kids)`` for each tuple of children, in order, with
+    one table lookup for the whole batch and no ``_node`` call per tuple
+    (on ``poset`` queries this loop beats a comprehension over ``_node``)."""
+    table = _INTERN[letter.name]
+    get = table.get
+    out = []
+    for kids in kid_tuples:
+        ref = get(kids)
+        tree = ref and ref()
+        if tree is None:
+            tree = _enter(table, letter, kids)
+        out.append(tree)
+    return out
 
 
 def node(letter: Letter, children) -> SyntaxTree:
-    """The unique tree with this root letter and these children."""
+    """The unique tree with this root letter and these children.  Walks
+    whose children always fit the letter call ``_node``, which skips the
+    arity check."""
     children = tuple(children)
     if len(children) != letter.arity:
         raise ValueError(
@@ -264,7 +300,7 @@ def _rebuild(spine, s: SyntaxTree) -> SyntaxTree:
     pairs from the root down; each parent is rebuilt around s, bottom up."""
     for parent, pos in reversed(spine):
         kids = parent.children
-        s = node(parent.letter, kids[:pos] + (s,) + kids[pos + 1:])
+        s = _node(parent.letter, kids[:pos] + (s,) + kids[pos + 1:])
     return s
 
 
@@ -377,7 +413,7 @@ def compose_forest(t: SyntaxTree, forest) -> SyntaxTree:
     for child in t.children:
         out.append(compose_forest(child, forest[start:start + child.arity]))
         start += child.arity
-    return node(t.letter, out)
+    return _node(t.letter, tuple(out))
 
 
 # -- deletion and contraction ---------------------------------------------------
@@ -421,7 +457,7 @@ def _deletions(t: SyntaxTree) -> tuple[SyntaxTree, ...]:
             for i, child in enumerate(kids):
                 if child.degree:
                     for d in _deletions(child):
-                        acc.append(node(letter, kids[:i] + (d,) + kids[i + 1:]))
+                        acc.append(_node(letter, kids[:i] + (d,) + kids[i + 1:]))
             out = tuple(acc)
         t._deletions = out
     return out
@@ -443,7 +479,7 @@ def _contractions(t: SyntaxTree) -> tuple[SyntaxTree, ...]:
             for j in range(1, len(kids)):
                 if kids[j].degree:
                     for c in _contractions(kids[j]):
-                        acc.append(node(letter, kids[:j] + (c,) + kids[j + 1:]))
+                        acc.append(_node(letter, kids[:j] + (c,) + kids[j + 1:]))
             out = tuple(acc)
         t._contractions = out
     return out
@@ -474,10 +510,9 @@ def enumerate_trees(alphabet: Alphabet, degree: int) -> list[SyntaxTree]:
     slices = _degree_slices(alphabet)
     while len(slices) <= degree:
         below = len(slices) - 1
-        out = [node(letter, kids)
-               for letter in alphabet
+        out = [t for letter in alphabet
                for split in _compositions(below, letter.arity)
-               for kids in product(*[slices[d] for d in split])]
+               for t in _nodes(letter, product(*[slices[d] for d in split]))]
         slices.append(tuple(sorted(out, key=lambda t: t.term)))
     return list(slices[degree])
 
@@ -486,6 +521,6 @@ def is_prefix(s: SyntaxTree, t: SyntaxTree) -> bool:
     """True when t can be obtained from s by grafting a forest onto its leaves."""
     if s.is_leaf:
         return True
-    if t.is_leaf or s.letter != t.letter:
+    if t.is_leaf or (s.letter is not t.letter and s.letter != t.letter):
         return False
     return all(is_prefix(a, b) for a, b in zip(s.children, t.children))

@@ -17,7 +17,7 @@ from operator import attrgetter
 
 from .alphabet import Alphabet
 from .series import Series2
-from .tree import LEAF, SyntaxTree, _nodes, _subtrees, enumerate_trees, is_prefix, node
+from .tree import LEAF, SyntaxTree, _node, _nodes, _subtrees, enumerate_trees, is_prefix
 
 Forest = tuple[SyntaxTree, ...]
 
@@ -34,9 +34,9 @@ def poset_leq(s: SyntaxTree, t: SyntaxTree) -> bool:
 
 def meet(t: SyntaxTree, t2: SyntaxTree) -> SyntaxTree:
     """Greatest common prefix (the largest common part from the roots)."""
-    if t.is_leaf or t2.is_leaf or t.letter != t2.letter:
+    if t.is_leaf or t2.is_leaf or (t.letter is not t2.letter and t.letter != t2.letter):
         return LEAF
-    return node(t.letter, [meet(a, b) for a, b in zip(t.children, t2.children)])
+    return _node(t.letter, tuple(map(meet, t.children, t2.children)))
 
 
 def join(t: SyntaxTree, t2: SyntaxTree) -> SyntaxTree | None:
@@ -45,7 +45,7 @@ def join(t: SyntaxTree, t2: SyntaxTree) -> SyntaxTree | None:
         return t2
     if t2.is_leaf:
         return t
-    if t.letter != t2.letter:
+    if t.letter is not t2.letter and t.letter != t2.letter:
         return None
     kids = []
     for a, b in zip(t.children, t2.children):
@@ -53,14 +53,14 @@ def join(t: SyntaxTree, t2: SyntaxTree) -> SyntaxTree | None:
         if j is None:
             return None
         kids.append(j)
-    return node(t.letter, kids)
+    return _node(t.letter, tuple(kids))
 
 
 def difference_forest(s: SyntaxTree, t: SyntaxTree) -> Forest:
     """The unique forest r with t = s composed with r; requires s <= t."""
     if s.is_leaf:
         return (t,)
-    if t.is_leaf or s.letter != t.letter:
+    if t.is_leaf or (s.letter is not t.letter and s.letter != t.letter):
         raise NotComparableError(f"{s.term} is not a prefix of {t.term}")
     out: list[SyntaxTree] = []
     for a, b in zip(s.children, t.children):
@@ -125,7 +125,7 @@ def _interval_count(s: SyntaxTree, t: SyntaxTree) -> int:
     which contribute the number of prefixes of r."""
     if s.is_leaf:
         return _prefix_count(t)
-    if t.is_leaf or s.letter != t.letter:
+    if t.is_leaf or (s.letter is not t.letter and s.letter != t.letter):
         return 0
     count = 1
     for a, b in zip(s.children, t.children):
@@ -158,7 +158,7 @@ def _interval(s: SyntaxTree, t: SyntaxTree) -> tuple[SyntaxTree, ...]:
     the product over the children's intervals comes out in term order."""
     if s.is_leaf:
         return _prefixes(t)
-    if t.is_leaf or s.letter != t.letter:
+    if t.is_leaf or (s.letter is not t.letter and s.letter != t.letter):
         return ()
     return tuple(_nodes(s.letter, product(*map(_interval, s.children, t.children))))
 

@@ -243,13 +243,13 @@ def test_initial_paths_series_never_builds_the_top_rank(monkeypatch, case):
     monkeypatch.setattr(universe, "elements_of_rank", below_the_barred)
     graph = build(universe)
     built = []
-    init = tree.SyntaxTree.__init__
+    enter = tree._enter
 
-    def counting_init(self, letter, children):
+    def counting_enter(table, letter, kids):
         built.append(letter)
-        init(self, letter, children)
+        return enter(table, letter, kids)
 
-    monkeypatch.setattr(tree.SyntaxTree, "__init__", counting_init)
+    monkeypatch.setattr(tree, "_enter", counting_enter)
     assert graph.initial_paths_series(top).t_coeff_list(top) == expected
     if not sums_slices:
         assert not built

@@ -12,7 +12,7 @@ from opergraph import (LEAF, Alphabet, Letter, SyntaxTree, TreeUniverse, compose
                        delete_node, enumerate_trees, free_graphs, is_prefix, node,
                        node_stats, parse_term, subtree_at)
 from opergraph.free_graphs import hook_closed_form, twisted_graph, twisted_hook
-from opergraph.tree import _INTERN, AddressError, ParseError, format_address, nf
+from opergraph.tree import _INTERN, AddressError, ParseError, _nodes, format_address, nf
 from opergraph.tree_poset import is_stringy
 
 from series_oracle import interval_series_by_iteration
@@ -278,6 +278,27 @@ def test_the_intern_table_holds_trees_weakly():
     assert dead() is None and key not in _INTERN["held"]
     # the children stay, held by the key
     assert _INTERN["held"][(LEAF, LEAF)]() is key[1]
+
+
+def test_the_batch_path_interns_like_node():
+    """``_nodes`` returns for each tuple the object ``node`` returns, enters
+    each new tree in the table, and the entry leaves with the tree."""
+    batch = Alphabet.parse("batch:2,one:1")
+    one = parse_term("one[*]", batch)
+    letter = batch["batch"]
+    live = node(letter, (one, LEAF))
+    tuples = [(LEAF, LEAF), (one, LEAF), (LEAF, one), (one, one), (LEAF, LEAF)]
+    table = _INTERN["batch"]
+    before = set(table)
+    trees = _nodes(letter, tuples)
+    assert trees == [node(letter, kids) for kids in tuples]
+    assert trees[1] is live and trees[0] is trees[4]
+    assert set(table) == before | set(tuples)
+    assert all(table[kids]() is t for kids, t in zip(tuples, trees))
+    dead = [weakref.ref(t) for t in trees]
+    del trees, live
+    assert [ref() for ref in dead] == [None] * len(tuples)
+    assert not any(kids in table for kids in tuples)
 
 
 def _parse_term_recursive(text, alphabet):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opergraph import (LEAF, Alphabet, Letter, Series2, compose_forest,
-                       corolla, enumerate_trees, node, parse_term)
+                       corolla, enumerate_trees, is_prefix, node, parse_term)
 from opergraph.free_graphs import prefix_graph, up_star_free
 from opergraph.tree_poset import (NotComparableError, difference_forest,
                                   interval, interval_count, interval_count_brute,
@@ -255,6 +255,51 @@ def _answer_query(alphabet, rng):
     t, s, t2 = (parse_term(term, alphabet) for term in terms)
     count = interval(s, t)
     return meet(s, t2), join(s, t2), count, interval(s, t, "elements") if count <= 256 else None
+
+
+def _query_answers(s, t, t2):
+    """A query's answers as terms and plain values, so they outlive its trees."""
+    high = join(t, t2)
+    count = interval_count(s, t)
+    return (meet(t, t2).term, high and high.term, count,
+            [r.term for r in interval_elements(s, t)] if count <= 256 else None,
+            poset_leq(s, t), poset_leq(t2, t), poset_leq(t, t2))
+
+
+def test_letters_of_two_equal_alphabets_act_as_one():
+    """Trees parsed from two separately parsed copies of one alphabet carry
+    equal letters that are distinct objects; every query answers as it
+    does over one alphabet."""
+    rng = random.Random(43)
+    one = Alphabet.parse("e:1,a:2,c:3")
+    queries = []
+    for _ in range(200):
+        t = _random_tree(one, rng.randint(1, 10), rng)
+        # a prefix of t with random trees grafted on: joins exist for most
+        # pairs, not all
+        prefix = _random_prefix(t, rng, 0.8)
+        t2 = compose_forest(prefix, [_random_tree(one, rng.randint(0, 2), rng)
+                                     for _ in range(prefix.arity)])
+        queries.append([_random_prefix(t, rng, rng.random()).term, t.term, t2.term])
+    del t, t2, prefix
+    expected = [_query_answers(*(parse_term(term, one) for term in terms)) for terms in queries]
+    first, second = Alphabet.parse("e:1,a:2,c:3"), Alphabet.parse("e:1,a:2,c:3")
+    assert first["a"] is not second["a"] and first["a"] == second["a"]
+    split = 0
+    for terms, answers in zip(queries, expected):
+        s, t2 = (parse_term(term, second) for term in (terms[0], terms[2]))
+        t = parse_term(terms[1], first)
+        split += t.letter is not t2.letter and t.letter == t2.letter
+        assert _query_answers(s, t, t2) == answers, terms
+    assert split >= 100
+
+
+def test_same_named_letters_of_different_arity_never_unify():
+    binary = parse_term("a[*,*]", Alphabet.parse("a:2"))
+    ternary = parse_term("a[*,*,*]", Alphabet.parse("a:3"))
+    assert meet(binary, ternary) is LEAF and meet(ternary, binary) is LEAF
+    assert join(binary, ternary) is None and join(ternary, binary) is None
+    assert not is_prefix(binary, ternary) and not is_prefix(ternary, binary)
 
 
 def test_dropped_query_answers_leave_the_intern_table(eac):
