@@ -7,8 +7,13 @@ operad's closed form where it has one, else ``_table_row``, which reads a
 lazily filled reverse-edge table and, through ``up_adjoint``, is the oracle
 for every closed form.  Paths, hooks, exports and the duality check walk
 rows, and a ``Combination`` is built only where a public method returns
-one.  The diagonal duality check runs one rank slice at a time, with
-``GradedGraphPair.duality_commutator`` as its independent oracle.  The
+one.  The diagonal duality check runs one rank at a time, over U's rank
+stream: the operad's closed form where it has one (a word's up row from its
+prefix's row), else ``_slice_rows``, the canonical slice with each row from
+``up``.  A closed-form stream may come out of canonical order, so at the
+first failure in a rank the check walks that rank again through
+``_slice_rows``, and the witness is the canonical one.
+``GradedGraphPair.duality_commutator`` is the check's independent oracle.  The
 graphs of every operad, trees included, come from the builders in ``operads``.
 
 A graph also carries its initial path counts, fixed when the graph is built
@@ -34,10 +39,18 @@ class GradedGraph:
     adjoint row, each element once with a positive int weight.  A star row
     is read once: a closed form may return an iterator.  ``outdegree`` sends
     x to the weight sum of its up row, in closed form.  ``paths`` sends d to
-    the initial path counts of ranks 0..d, a list of ints."""
+    the initial path counts of ranks 0..d, a list of ints.
+
+    The rank stream ``_rows`` sends (rank, below) to the pairs (x, up row
+    of x), one for each x of the rank, where ``below`` maps every element
+    of rank - 1 to its up row (empty at rank 0).  A closed form may build
+    each row from the rows below and yield the rank in any order; the
+    default, ``_slice_rows``, yields the canonical slice and is the oracle
+    for every closed form."""
 
     def __init__(self, universe, up: Callable, *, name: str, outdegree: Callable,
-                 star: Callable | None = None, paths: Callable | None = None):
+                 star: Callable | None = None, paths: Callable | None = None,
+                 rows: Callable | None = None):
         self.universe = universe
         self.name = name
         self._up = up
@@ -46,6 +59,7 @@ class GradedGraph:
         self._reverse_ranks: set[int] = set()
         self._star = star or self._table_row
         self._paths = paths or self.hook_trace
+        self._rows = rows or self._slice_rows
 
     # -- the two operators ---------------------------------------------------
 
@@ -63,6 +77,13 @@ class GradedGraph:
                 for y, w in self._up(p).items():
                     self._reverse.setdefault(y, []).append((p, w))
         return self._reverse.get(x, ())
+
+    def _slice_rows(self, rank: int, below: dict) -> Iterator[tuple]:
+        """(x, up row of x) for each x of the rank slice, in canonical order;
+        ``below`` is not read."""
+        up = self._up
+        for x in self.universe.elements_of_rank(rank):
+            yield x, up(x)
 
     def up_adjoint(self, x) -> Combination:
         """Adjoint of up, from the reverse-edge table: the star-map oracle."""
@@ -232,60 +253,80 @@ class GradedGraphPair:
         coefficient at each element, stopping at the first element whose
         commutator is not a multiple of the element itself.
 
-        The check runs one rank slice at a time.  For x of rank r it sums
-        the two halves V*U(x) and UV*(x) into plain dicts, from the U row of
-        x, the star rows of x and of each y in that row, and the U rows of
-        rank r-1.  The U rows and the rank r star rows are computed once
-        each (the rows of rank r-1 are dropped when rank r is done); a rank
-        r+1 star row is computed once per U edge into it, so a y reached
-        from several x is asked again each time.  When V*(x) is one element
-        of weight 1, UV*(x) is that element's U row itself.  Weights are
+        The check runs one rank at a time, over the (x, U row of x) pairs
+        of U's rank stream, given the U rows of rank r-1 it holds
+        (``GradedGraph._rows``).  For x of rank r it sums the two halves
+        V*U(x) and UV*(x) into plain dicts, from the U row of x, the star
+        rows of x and of each y in that row, and the U rows of rank r-1.
+        The U rows and the rank r star rows are computed once each (the
+        rows of rank r-1 are dropped when rank r is done); a rank r+1 star
+        row is computed once per U edge into it, so a y reached from
+        several x is asked again each time.  When V*(x) is one element of
+        weight 1, UV*(x) is that element's U row itself.  Weights are
         positive, so neither half holds a zero and the commutator is
-        diagonal when the halves are equal dicts off x; the difference and a
-        ``Combination`` are built only for a failure.  ``duality_commutator``
-        is its independent oracle.
+        diagonal when the halves are equal dicts off x; the difference and
+        a ``Combination`` are built only for a failure.
+
+        A closed-form stream may yield a rank out of canonical order.  At
+        the first failure in a rank, the check drops what it found in that
+        rank and walks the rank again in canonical order (``_slice_rows``)
+        over the same rows below, so the witness, ``checked`` and ``table``
+        are those of a canonical walk.  ``duality_commutator`` is its
+        independent oracle.
         """
         table: dict | None = None if phi is not None else {}
-        up, star = self.u._up, self.v._star
+        u = self.u
         checked = 0
         below: dict = {}  # the U rows of rank r-1, by element
         for rank in range(d + 1):
-            rows: dict = {}
-            for x in self.universe.elements_of_rank(rank):
-                row = up(x)
-                if rank < d:  # the rows of the top rank would never be read
-                    rows[x] = row
-                vu: dict = {}
-                for y, w in row.items():
-                    for z, c in star(y):
-                        vu[z] = vu.get(z, 0) + w * c
-                pairs = tuple(star(x))
-                if len(pairs) == 1 and pairs[0][1] == 1:
-                    uv = below[pairs[0][0]]  # held, so never written to
-                else:
-                    uv = {}
-                    for p, w in pairs:
-                        for z, c in below[p].items():
-                            uv[z] = uv.get(z, 0) + w * c
-                checked += 1
-                # give vu uv's coefficient at x, so == compares them off x
-                coeff = vu.pop(x, 0) - uv.get(x, 0)
-                if x in uv:
-                    vu[x] = uv[x]
-                diagonal = vu == uv
-                if phi is None:
-                    if not diagonal:
-                        return DualityReport(checked, DualityFailure(
-                            x, self._difference(vu, uv, x, coeff)), table)
-                    table[x] = coeff
-                    continue
-                expected = phi(x)
-                if not diagonal or coeff != expected:
-                    return DualityReport(checked, DualityFailure(
-                        x, self._difference(vu, uv, x, coeff),
-                        Combination.unit(self.universe, x, expected)))
+            # the rows of the top rank would never be read
+            rows, coeffs, failure = self._check_rank(u._rows(rank, below), below, phi, rank < d)
+            if failure is not None and u._rows != u._slice_rows:
+                rows, coeffs, failure = self._check_rank(
+                    u._slice_rows(rank, below), below, phi, False)
+            checked += len(coeffs)
+            if table is not None:
+                table.update(coeffs)
+            if failure is not None:
+                return DualityReport(checked + 1, failure, table)
             below = rows
         return DualityReport(checked, None, table)
+
+    def _check_rank(self, stream: Iterable[tuple], below: dict, phi: Callable | None,
+                    keep: bool) -> tuple[dict, dict, DualityFailure | None]:
+        """Check each x of one rank that ``stream`` yields with its U row, up
+        to the first failure.  Returns the rows (held when ``keep``), the
+        diagonal coefficient of each x that passed, and the failure or None."""
+        star = self.v._star
+        rows: dict = {}
+        coeffs: dict = {}
+        for x, row in stream:
+            if keep:
+                rows[x] = row
+            vu: dict = {}
+            for y, w in row.items():
+                for z, c in star(y):
+                    vu[z] = vu.get(z, 0) + w * c
+            pairs = tuple(star(x))
+            if len(pairs) == 1 and pairs[0][1] == 1:
+                uv = below[pairs[0][0]]  # held, so never written to
+            else:
+                uv = {}
+                for p, w in pairs:
+                    for z, c in below[p].items():
+                        uv[z] = uv.get(z, 0) + w * c
+            # give vu uv's coefficient at x, so == compares them off x
+            coeff = vu.pop(x, 0) - uv.get(x, 0)
+            if x in uv:
+                vu[x] = uv[x]
+            expected = coeff if phi is None else phi(x)
+            if vu == uv and coeff == expected:
+                coeffs[x] = coeff
+                continue
+            return rows, coeffs, DualityFailure(
+                x, self._difference(vu, uv, x, coeff),
+                None if phi is None else Combination.unit(self.universe, x, expected))
+        return rows, coeffs, None
 
     def _difference(self, vu: dict, uv: dict, x, coeff: int) -> Combination:
         """The commutator vu - uv, with ``coeff`` at x."""

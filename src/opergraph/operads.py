@@ -15,7 +15,15 @@ directly (a word splices shifted generators in place of each letter).  Star
 rows are (element, weight) pairs, in closed form where cheap: the trees both,
 the chain, comp and fcat:m the twisted one (a word comes from its prefix).
 Elsewhere the graph reads a reverse-edge table, and ``up_adjoint`` reads it
-for every graph: the oracle for every closed form.
+for every graph: the oracle for every closed form.  The duality check walks
+the up rows one rank at a time; comp and fcat:m give that rank stream in
+closed form (``up_rows``: a word's up row is its prefix's row, each word
+extended by the last letter, plus the splices at that letter), so a passing
+check builds no degree slice and computes each up row once.  The stream
+comes prefix by prefix, out of canonical order once a letter reaches 10,
+and on a failure the check walks that rank again in canonical order.  The
+other operads and the trees walk their slices, and ``GradedGraph._slice_rows``
+is the stream's oracle.
 
 Each graph also takes its initial path counts from an integer recurrence
 where one exists, and builds no element for them.  ``up_paths`` is
@@ -91,6 +99,8 @@ class Operad:
     v_star = None
     # the twisted path counts by recurrence; None sums the hook slices
     v_paths = None
+    # the up rows of a rank from those of the rank below; None walks the slice
+    up_rows = None
 
     def __init__(self):
         self._degree_slices: list[list] = [[self.unit]]
@@ -267,6 +277,11 @@ class WordOperad(Operad):
     def contains(self, x):
         return isinstance(x, tuple) and len(x) >= 1 and self.is_word(x)
 
+    def _shift_generators(self, pivot: int) -> list[tuple[int, ...]]:
+        """Every generator shifted by ``pivot``, kept in ``_shifted``."""
+        gens = self._shifted[pivot] = [self.shift(pivot, g) for g in self.generators]
+        return gens
+
     def up_row(self, x):
         """``Operad.up_row`` without ``compose``: at each position, splice
         every generator shifted by the letter it replaces between the head
@@ -275,9 +290,7 @@ class WordOperad(Operad):
         row: dict = {}
         shifted = self._shifted
         for i, pivot in enumerate(x):
-            gens = shifted.get(pivot)
-            if gens is None:
-                gens = shifted[pivot] = [self.shift(pivot, g) for g in self.generators]
+            gens = shifted.get(pivot) or self._shift_generators(pivot)
             head, tail = x[:i], x[i + 1:]
             for g in gens:
                 y = head + g + tail
@@ -342,6 +355,27 @@ class CompOperad(WordOperad):
     def v_star(self, y):
         """A word of length >= 2 comes only from its own prefix."""
         return ((y[:-1], 1),) if len(y) > 1 else ()
+
+    def up_rows(self, rank, below):
+        """(x, up row of x) for each word x of the rank, given ``below``, the
+        up row of each word of rank - 1.  The words whose prefix is p are
+        ``v_explicit(p)``, as for ``v_star``.  A splice before the last
+        letter a leaves a in place, so x's row is p's row with a appended
+        to each word, plus the splices of the generators shifted by a at
+        the last position.  The words come prefix by prefix, which is not
+        canonical order once a letter reaches 10."""
+        if rank == 0:
+            yield self.unit, self.up_row(self.unit)
+            return
+        shifted = self._shifted
+        for p, prow in below.items():
+            for x in self.v_explicit(p):
+                a = x[-1]
+                row = {y + (a,): w for y, w in prow.items()}
+                for g in shifted.get(a) or self._shift_generators(a):
+                    y = p + g
+                    row[y] = row.get(y, 0) + 1
+                yield x, row
 
     def phi(self, x):
         return 2
@@ -409,6 +443,7 @@ class FCatOperad(WordOperad):
         return [x + (a,) for a in range(x[-1] + self.m + 1)]
 
     v_star = CompOperad.v_star
+    up_rows = CompOperad.up_rows
 
     def phi(self, x):
         return self.m + 1
@@ -658,7 +693,7 @@ def theta_row_sums(alphabet: Alphabet, d_max: int) -> list[int]:
 def prefix_graph(op: Operad) -> GradedGraph:
     """Grafting graph of any operad, the free ones (``TreeUniverse``) included."""
     return GradedGraph(op, op.up_row, star=op.up_star, outdegree=op.up_outdegree,
-                       paths=op.up_paths, name=f"prefix({op.name})")
+                       paths=op.up_paths, rows=op.up_rows, name=f"prefix({op.name})")
 
 
 def twisted_graph(op: Operad) -> GradedGraph:

@@ -484,6 +484,40 @@ def test_wrong_phi_on_a_free_pair_matches_the_oracle(a2c3):
     assert summary(report) == reference_report(pair, wrong, 3)
 
 
+def stream_order(pair, rank):
+    """The elements of a rank in the order U's rank stream yields them."""
+    below = {}
+    for r in range(rank):
+        below = dict(pair.u._rows(r, below))
+    return [x for x, _ in pair.u._rows(rank, below)]
+
+
+@pytest.mark.parametrize("selector,rank", [("fcat:3", 4), ("fcat:2", 5)])
+def test_a_failure_out_of_stream_order_gives_the_canonical_witness(monkeypatch, selector,
+                                                                   rank):
+    """Where the rank stream is out of canonical order (a letter of 10 or
+    more is written comma-separated, and ``,`` sorts before ``0``), two
+    failing words of one rank, the stream's first and the canonical first,
+    give the canonical witness, count and table: against phi, and in
+    discovery mode with the star rows of both words doubled."""
+    op, pair = operad_pair(selector, "uv")
+    streamed = stream_order(pair, rank)
+    first = op.elements_of_rank(rank)[0]
+    assert "," in op.render_elem(first) and streamed.index(first) > 0
+    targets = {streamed[0], first}
+    phi = lambda x: op.phi(x) + (x in targets)
+    report = pair.check_phi_diagonal(phi, rank)
+    assert report.witness.element == first
+    assert summary(report) == reference_report(pair, phi, rank)
+
+    star = pair.v._star
+    monkeypatch.setattr(pair.v, "_star", lambda y: tuple(
+        (p, 2 * w) for p, w in star(y)) if y in targets else star(y))
+    report = pair.check_phi_diagonal(None, rank)
+    assert report.witness.element == first
+    assert summary(report) == reference_report(pair, None, rank)
+
+
 def test_structural_checks(a2c3):
     """Both free graphs to rank 3 are graded, simple and rooted: every edge
     goes up one rank with weight 1, and every hook is positive."""

@@ -190,6 +190,43 @@ def test_up_row_matches_the_generic_graft_loop(selector):
         assert op.up_row(x) == Operad.up_row(op, x), x
 
 
+@pytest.mark.parametrize("selector,top", [("comp", 5), ("fcat:0", 5), ("fcat:1", 5),
+                                          ("fcat:2", 5), ("fcat:3", 4)])
+def test_rank_stream_matches_the_slices_and_the_graft_loop(selector, top):
+    """Fed the rows of the rank below, ``up_rows`` yields every element of
+    the rank exactly once, each with the base class's compose-built row."""
+    op = get_operad(selector)
+    below = {}
+    for rank in range(top + 1):
+        streamed = list(op.up_rows(rank, below))
+        assert Counter(x for x, _ in streamed) == Counter(op.elements_of_rank(rank))
+        for x, row in streamed:
+            assert row == Operad.up_row(op, x), x
+        below = dict(streamed)
+
+
+@pytest.mark.parametrize("make,top,checked", [(CompOperad, 6, 127),
+                                              (lambda: FCatOperad(3), 5, 8220)],
+                         ids=["comp", "fcat:3"])
+def test_a_passing_word_check_builds_no_slice_and_each_row_once(monkeypatch, make, top,
+                                                                checked):
+    """The rank stream grows each row from its prefix's row: a passing check
+    builds no degree slice and computes only the unit's row directly."""
+    op = make()
+    rows = []
+    up_row = WordOperad.up_row
+
+    def spy(self, x):
+        rows.append(x)
+        return up_row(self, x)
+
+    monkeypatch.setattr(WordOperad, "up_row", spy)
+    report = prefix_pair(op).check_phi_diagonal(op.phi, top)
+    assert report.ok and report.checked == checked
+    assert len(op._degree_slices) == 1
+    assert rows == [op.unit]
+
+
 def test_direct_rows_never_compose(monkeypatch):
     """The (U,V) checks of the operads with direct up rows and closed-form
     star rows run without compose and never build a reverse-edge table."""
