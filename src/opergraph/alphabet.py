@@ -101,6 +101,3 @@ class Alphabet:
 
     def render(self) -> str:
         return ",".join(str(letter) for letter in self.letters)
-
-    def max_arity(self) -> int:
-        return max((letter.arity for letter in self.letters), default=0)

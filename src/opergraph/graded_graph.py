@@ -5,14 +5,16 @@ sending each element to a plain dict successor -> weight one rank higher,
 and one star map for the adjoint, fixed when the graph is built: the
 operad's closed form where it has one, else ``_table_row``, which reads a
 lazily filled reverse-edge table and, through ``up_adjoint``, is the oracle
-for every closed form.  Paths, hooks, exports and the duality check walk
-rows, and a ``Combination`` is built only where a public method returns
-one.  The diagonal duality check runs one rank at a time, over U's rank
-stream: the operad's closed form where it has one (a word's up row from its
-prefix's row), else ``_slice_rows``, the canonical slice with each row from
-``up``.  A closed-form stream may come out of canonical order, so at the
-first failure in a rank the check walks that rank again through
-``_slice_rows``, and the witness is the canonical one.
+for every closed form.  A graph that is a tree may be given its parent map
+instead, and its star map is then the parent of weight 1.  Paths, hooks,
+exports and the duality check walk rows, and a ``Combination`` is built
+only where a public method returns one.  The diagonal duality check runs
+one rank at a time, over U's rank stream: the operad's closed form where it
+has one (a word's up row from its prefix's row), else ``_slice_rows``, the
+canonical slice with each row from ``up``.  A closed-form stream may come
+out of canonical order, so at the first failure in a rank the check walks
+that rank again through ``_slice_rows``, and the witness is the canonical
+one.  Where V is a tree, the check reads V through its parent map alone.
 ``GradedGraphPair.duality_commutator`` is the check's independent oracle.  The
 graphs of every operad, trees included, come from the builders in ``operads``.
 
@@ -41,6 +43,10 @@ class GradedGraph:
     x to the weight sum of its up row, in closed form.  ``paths`` sends d to
     the initial path counts of ranks 0..d, a list of ints.
 
+    ``parent``, given for a graph that is a tree, sends x to its one
+    predecessor, of weight 1, and the unit to None.  With no ``star``, the
+    star map is then ``_parent_row``, derived from it.
+
     The rank stream ``_rows`` sends (rank, below) to the pairs (x, up row
     of x), one for each x of the rank, where ``below`` maps every element
     of rank - 1 to its up row (empty at rank 0).  A closed form may build
@@ -50,14 +56,15 @@ class GradedGraph:
 
     def __init__(self, universe, up: Callable, *, name: str, outdegree: Callable,
                  star: Callable | None = None, paths: Callable | None = None,
-                 rows: Callable | None = None):
+                 rows: Callable | None = None, parent: Callable | None = None):
         self.universe = universe
         self.name = name
         self._up = up
         self._outdegree = outdegree
         self._reverse: dict = {}
         self._reverse_ranks: set[int] = set()
-        self._star = star or self._table_row
+        self._parent = parent
+        self._star = star or (self._parent_row if parent else self._table_row)
         self._paths = paths or self.hook_trace
         self._rows = rows or self._slice_rows
 
@@ -77,6 +84,11 @@ class GradedGraph:
                 for y, w in self._up(p).items():
                     self._reverse.setdefault(y, []).append((p, w))
         return self._reverse.get(x, ())
+
+    def _parent_row(self, x) -> tuple:
+        """The star row of a tree-shaped graph: x's parent, of weight 1."""
+        p = self._parent(x)
+        return () if p is None else ((p, 1),)
 
     def _slice_rows(self, rank: int, below: dict) -> Iterator[tuple]:
         """(x, up row of x) for each x of the rank slice, in canonical order;
@@ -256,16 +268,21 @@ class GradedGraphPair:
         The check runs one rank at a time, over the (x, U row of x) pairs
         of U's rank stream, given the U rows of rank r-1 it holds
         (``GradedGraph._rows``).  For x of rank r it sums the two halves
-        V*U(x) and UV*(x) into plain dicts, from the U row of x, the star
-        rows of x and of each y in that row, and the U rows of rank r-1.
-        The U rows and the rank r star rows are computed once each (the
-        rows of rank r-1 are dropped when rank r is done); a rank r+1 star
-        row is computed once per U edge into it, so a y reached from
-        several x is asked again each time.  When V*(x) is one element of
-        weight 1, UV*(x) is that element's U row itself.  Weights are
-        positive, so neither half holds a zero and the commutator is
-        diagonal when the halves are equal dicts off x; the difference and
-        a ``Combination`` are built only for a failure.
+        V*U(x) and UV*(x) into plain dicts, from the U row of x, V at x and
+        at each y in that row, and the U rows of rank r-1, which are held
+        (and dropped when rank r is done), so each U row is computed once.
+
+        Where V is a tree (``GradedGraph._parent``), no star row is built:
+        V*U(x) adds each U edge's weight at the parent of the edge's end,
+        one parent per U edge, and UV*(x) is the held U row of x's parent,
+        empty at the unit.  Elsewhere the rank r star rows are computed
+        once each, and a rank r+1 star row once per U edge into it, so a y
+        reached from several x is asked again each time; when V*(x) is one
+        element of weight 1, UV*(x) is that element's U row itself.
+
+        Weights are positive, so neither half holds a zero and the
+        commutator is diagonal when the halves are equal dicts off x; the
+        difference and a ``Combination`` are built only for a failure.
 
         A closed-form stream may yield a rank out of canonical order.  At
         the first failure in a rank, the check drops what it found in that
@@ -298,23 +315,32 @@ class GradedGraphPair:
         to the first failure.  Returns the rows (held when ``keep``), the
         diagonal coefficient of each x that passed, and the failure or None."""
         star = self.v._star
+        parent = self.v._parent
         rows: dict = {}
         coeffs: dict = {}
         for x, row in stream:
             if keep:
                 rows[x] = row
             vu: dict = {}
-            for y, w in row.items():
-                for z, c in star(y):
-                    vu[z] = vu.get(z, 0) + w * c
-            pairs = tuple(star(x))
-            if len(pairs) == 1 and pairs[0][1] == 1:
-                uv = below[pairs[0][0]]  # held, so never written to
+            if parent is not None:
+                get = vu.get
+                for y, w in row.items():
+                    z = parent(y)
+                    vu[z] = get(z, 0) + w
+                p = parent(x)
+                uv = {} if p is None else below[p]  # held, so never written to
             else:
-                uv = {}
-                for p, w in pairs:
-                    for z, c in below[p].items():
-                        uv[z] = uv.get(z, 0) + w * c
+                for y, w in row.items():
+                    for z, c in star(y):
+                        vu[z] = vu.get(z, 0) + w * c
+                pairs = tuple(star(x))
+                if len(pairs) == 1 and pairs[0][1] == 1:
+                    uv = below[pairs[0][0]]  # held, so never written to
+                else:
+                    uv = {}
+                    for p, w in pairs:
+                        for z, c in below[p].items():
+                            uv[z] = uv.get(z, 0) + w * c
             # give vu uv's coefficient at x, so == compares them off x
             coeff = vu.pop(x, 0) - uv.get(x, 0)
             if x in uv:

@@ -12,18 +12,21 @@ predicate, slices, twisted map and diagonal.
 ``Operad.up_row`` makes one ``compose`` per (generator, position) pair and
 stays the oracle; the chain and the word operads give their up rows
 directly (a word splices shifted generators in place of each letter).  Star
-rows are (element, weight) pairs, in closed form where cheap: the trees both,
-the chain, comp and fcat:m the twisted one (a word comes from its prefix).
-Elsewhere the graph reads a reverse-edge table, and ``up_adjoint`` reads it
-for every graph: the oracle for every closed form.  The duality check walks
-the up rows one rank at a time; comp and fcat:m give that rank stream in
-closed form (``up_rows``: a word's up row is its prefix's row, each word
-extended by the last letter, plus the splices at that letter), so a passing
-check builds no degree slice and computes each up row once.  The stream
-comes prefix by prefix, out of canonical order once a letter reaches 10,
-and on a failure the check walks that rank again in canonical order.  The
-other operads and the trees walk their slices, and ``GradedGraph._slice_rows``
-is the stream's oracle.
+rows are (element, weight) pairs, in closed form where cheap: the trees
+both.  The twisted graphs of the chain, comp and fcat:m are trees, and those
+operads give a parent map (``v_parent``: x - 1, or a word's prefix) in place
+of a star map; the graph derives the star row from it, and the duality
+check reads one parent per U edge.  Elsewhere the graph reads a reverse-edge
+table, and ``up_adjoint`` reads it for every graph: the oracle for every
+closed form and parent map.  The duality check walks the up rows one rank
+at a time; comp and fcat:m give that rank stream in closed form
+(``up_rows``: a word's up row is its prefix's row, each word extended by
+the last letter, plus the splices at that letter), so a passing check
+builds no degree slice and computes each up row once.  The stream comes
+prefix by prefix, out of canonical order once a letter reaches 10, and on a
+failure the check walks that rank again in canonical order.  The other
+operads and the trees walk their slices, and ``GradedGraph._slice_rows`` is
+the stream's oracle.
 
 Each graph also takes its initial path counts from an integer recurrence
 where one exists, and builds no element for them.  ``up_paths`` is
@@ -97,6 +100,9 @@ class Operad:
     # closed-form star rows of (element, weight) pairs; None reads a table
     up_star = None
     v_star = None
+    # the one twisted predecessor, of weight 1, where the twisted graph is a
+    # tree (None at the unit); it stands in for v_star
+    v_parent = None
     # the twisted path counts by recurrence; None sums the hook slices
     v_paths = None
     # the up rows of a rank from those of the rank below; None walks the slice
@@ -244,9 +250,9 @@ class AsOperad(Operad):
         """Grafting the one generator at any of the x positions gives x + 1."""
         return {x + 1: x}
 
-    def v_star(self, x):
+    def v_parent(self, x):
         """Only x - 1 steps up to x, once."""
-        return ((x - 1, 1),) if x > 1 else ()
+        return x - 1 if x > 1 else None
 
 
 class WordOperad(Operad):
@@ -352,14 +358,14 @@ class CompOperad(WordOperad):
     def v_explicit(self, x):
         return [x + (0,), x + (1,)]
 
-    def v_star(self, y):
-        """A word of length >= 2 comes only from its own prefix."""
-        return ((y[:-1], 1),) if len(y) > 1 else ()
+    def v_parent(self, y):
+        """A word of length >= 2 comes only from its own prefix, once."""
+        return y[:-1] if len(y) > 1 else None
 
     def up_rows(self, rank, below):
         """(x, up row of x) for each word x of the rank, given ``below``, the
         up row of each word of rank - 1.  The words whose prefix is p are
-        ``v_explicit(p)``, as for ``v_star``.  A splice before the last
+        ``v_explicit(p)``, as for ``v_parent``.  A splice before the last
         letter a leaves a in place, so x's row is p's row with a appended
         to each word, plus the splices of the generators shifted by a at
         the last position.  The words come prefix by prefix, which is not
@@ -371,7 +377,8 @@ class CompOperad(WordOperad):
         for p, prow in below.items():
             for x in self.v_explicit(p):
                 a = x[-1]
-                row = {y + (a,): w for y, w in prow.items()}
+                end = x[-1:]
+                row = {y + end: w for y, w in prow.items()}
                 for g in shifted.get(a) or self._shift_generators(a):
                     y = p + g
                     row[y] = row.get(y, 0) + 1
@@ -442,7 +449,7 @@ class FCatOperad(WordOperad):
     def v_explicit(self, x):
         return [x + (a,) for a in range(x[-1] + self.m + 1)]
 
-    v_star = CompOperad.v_star
+    v_parent = CompOperad.v_parent
     up_rows = CompOperad.up_rows
 
     def phi(self, x):
@@ -698,7 +705,7 @@ def prefix_graph(op: Operad) -> GradedGraph:
 
 def twisted_graph(op: Operad) -> GradedGraph:
     return GradedGraph(op, op.v_row, star=op.v_star, outdegree=op.v_outdegree,
-                       paths=op.v_paths, name=f"twisted({op.name})")
+                       paths=op.v_paths, parent=op.v_parent, name=f"twisted({op.name})")
 
 
 def prefix_pair(op: Operad) -> GradedGraphPair:

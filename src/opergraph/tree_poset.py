@@ -105,6 +105,8 @@ def _prefixes(t: SyntaxTree) -> tuple[SyntaxTree, ...]:
 
 
 def interval_shadow(s: SyntaxTree, t: SyntaxTree) -> tuple:
+    """The shadows of the difference forest, sorted.  Two intervals are
+    order-isomorphic exactly when their interval shadows agree."""
     if not poset_leq(s, t):
         raise NotComparableError(f"{s.term} is not a prefix of {t.term}")
     return tuple(sorted(shadow(r) for r in difference_forest(s, t) if not r.is_leaf))
@@ -169,13 +171,6 @@ def interval(s: SyntaxTree, t: SyntaxTree, mode: str = "count"):
     if mode == "elements":
         return interval_elements(s, t)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def interval_isomorphic(s: SyntaxTree, t: SyntaxTree,
-                        s2: SyntaxTree, t2: SyntaxTree) -> bool:
-    """Two intervals are order-isomorphic exactly when their difference
-    shadows agree."""
-    return interval_shadow(s, t) == interval_shadow(s2, t2)
 
 
 # -- enumeration -----------------------------------------------------------------------

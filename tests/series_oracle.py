@@ -27,7 +27,7 @@ def _plus(*terms):
 def _r(alphabet, s, n):
     """R(s): the sum of s^arity over the letters."""
     power, powers = {(0, 0): 1}, [{(0, 0): 1}]
-    for _ in range(alphabet.max_arity()):
+    for _ in range(max((letter.arity for letter in alphabet), default=0)):
         power = _times(power, s, n)
         powers.append(power)
     return _plus(*(powers[letter.arity] for letter in alphabet))

@@ -24,9 +24,3 @@ def test_letter_validation():
         Alphabet([Letter("a", 2), Letter("a", 3)])
     with pytest.raises(ValueError):
         Letter("#5", 5)
-
-
-def test_max_arity():
-    assert Alphabet.parse("a:2,c:3").max_arity() == 3
-    assert Alphabet.parse("e:1").max_arity() == 1
-    assert Alphabet(()).max_arity() == 0

@@ -7,7 +7,7 @@ from opergraph import LEAF, Alphabet, Combination, corolla, enumerate_trees, par
 from opergraph.free_graphs import (hook_closed_form, phi_free, prefix_graph, prefix_pair,
                                    self_pair, twisted_graph, twisted_hook)
 from opergraph import operads, tree
-from opergraph.graded_graph import GradedGraph
+from opergraph.graded_graph import GradedGraph, GradedGraphPair
 from opergraph.operads import get_operad
 
 
@@ -499,7 +499,8 @@ def test_a_failure_out_of_stream_order_gives_the_canonical_witness(monkeypatch, 
     more is written comma-separated, and ``,`` sorts before ``0``), two
     failing words of one rank, the stream's first and the canonical first,
     give the canonical witness, count and table: against phi, and in
-    discovery mode with the star rows of both words doubled."""
+    discovery mode with the U rows of both words doubled, in the stream and
+    in ``_up``, which the canonical walk and the oracle read."""
     op, pair = operad_pair(selector, "uv")
     streamed = stream_order(pair, rank)
     first = op.elements_of_rank(rank)[0]
@@ -510,12 +511,60 @@ def test_a_failure_out_of_stream_order_gives_the_canonical_witness(monkeypatch, 
     assert report.witness.element == first
     assert summary(report) == reference_report(pair, phi, rank)
 
-    star = pair.v._star
-    monkeypatch.setattr(pair.v, "_star", lambda y: tuple(
-        (p, 2 * w) for p, w in star(y)) if y in targets else star(y))
+    double = lambda x, row: {y: 2 * w for y, w in row.items()} if x in targets else row
+    rows, up = pair.u._rows, pair.u._up
+    monkeypatch.setattr(pair.u, "_rows", lambda rank, below: (
+        (x, double(x, row)) for x, row in rows(rank, below)))
+    monkeypatch.setattr(pair.u, "_up", lambda x: double(x, up(x)))
     report = pair.check_phi_diagonal(None, rank)
     assert report.witness.element == first
     assert summary(report) == reference_report(pair, None, rank)
+
+
+def table_pair(op):
+    """The operad's (U,V) pair with V reading its reverse-edge table: no
+    parent map and no closed-form star map."""
+    v = GradedGraph(op, op.v_row, outdegree=op.v_outdegree, name=f"table({op.name})")
+    return GradedGraphPair(operads.prefix_graph(op), v)
+
+
+@pytest.mark.parametrize("selector", ["as", "comp", "fcat:1", "fcat:2", "fcat:3"])
+def test_the_parent_map_check_is_the_table_check(selector):
+    """Where V is a tree, the check through its parent map reports what the
+    check through the reverse-edge table reports: with the operad's phi,
+    with phi off by one at the last element of rank 4, and in discovery
+    mode."""
+    op, pair = operad_pair(selector, "uv")
+    assert pair.v._parent is not None
+    target = op.elements_of_rank(4)[-1]
+    late = lambda x: op.phi(x) + (x == target)
+    oks = []
+    for phi in (op.phi, late, None):
+        report = pair.check_phi_diagonal(phi, 4)
+        assert summary(report) == summary(table_pair(op).check_phi_diagonal(phi, 4))
+        oks.append(report.ok)
+    assert oks == [True, False, True]
+
+
+@pytest.mark.parametrize("selector", ["comp", "fcat:1", "fcat:2", "fcat:3"])
+def test_an_extra_u_edge_fails_the_parent_map_check(monkeypatch, selector):
+    """One more U edge, out of the last word of rank 3 into a child of the
+    first, puts that first word into V*U(x): the check through the parent
+    map must sum V*U(x) over the row it is given, and it reports the
+    canonical witness, against phi and in discovery mode."""
+    op, pair = operad_pair(selector, "uv")
+    first, x = op.elements_of_rank(3)[0], op.elements_of_rank(3)[-1]
+    extra = first + (0,)
+    grow = lambda y, row: {**row, extra: row.get(extra, 0) + 1} if y == x else row
+    rows, up = pair.u._rows, pair.u._up
+    monkeypatch.setattr(pair.u, "_rows", lambda rank, below: (
+        (y, grow(y, row)) for y, row in rows(rank, below)))
+    monkeypatch.setattr(pair.u, "_up", lambda y: grow(y, up(y)))
+    for phi in (op.phi, None):
+        report = pair.check_phi_diagonal(phi, 4)
+        assert report.witness.element == x
+        assert report.witness.commutator.coeff(first) != 0
+        assert summary(report) == reference_report(pair, phi, 4)
 
 
 def test_structural_checks(a2c3):

@@ -259,6 +259,22 @@ def test_closed_form_stars_fill_no_reverse_edge_table(universe):
         assert filled is (graph not in closed), graph.name
 
 
+@pytest.mark.parametrize("selector", ["as", "comp", "fcat:0", "fcat:1", "fcat:2", "fcat:3"])
+def test_the_twisted_graph_is_the_tree_of_its_parent_map(selector):
+    """To rank 5, each element of ``v_explicit(p)`` has parent p, and each
+    element of a slice but the unit is reached from exactly one p of the
+    slice below, once: V is the tree of ``v_parent``, every weight 1."""
+    op = get_operad(selector)
+    assert op.v_parent(op.unit) is None
+    for rank in range(1, 6):
+        below = op.elements_of_rank(rank - 1)
+        for p in below:
+            for y in op.v_explicit(p):
+                assert op.v_parent(y) == p, y
+        reached = Counter(y for p in below for y in op.v_explicit(p))
+        assert reached == Counter(op.elements_of_rank(rank))
+
+
 def test_comp_prefix_graph_matches_known_covers():
     graph = prefix_graph(COMP)
     edges = {}
