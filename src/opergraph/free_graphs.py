@@ -7,16 +7,16 @@ internal node reachable without first-child steps whose children beyond the
 first are leaves); its adjoint inserts above first children only.
 
 Trees over an alphabet are the free operad ``operads.TreeUniverse``, which
-carries these four maps; the builders in ``operads`` give a new graph per
-call, and the alphabet-taking functions here are calls on that universe
-(the star maps read its closed-form rows and build no graph).  The two hook
-closed forms are products over the internal nodes of a tree.  The initial
-path counts of both graphs come from integer recurrences on that universe
-(``TreeUniverse.up_paths`` and ``v_paths``), which build no tree.
+carries these four maps and the path recurrences.  This module holds the
+closed forms the CLI prints (``hook_closed_form`` and ``twisted_hook``,
+products over the internal nodes of a tree, and ``phi_self_singleton``),
+the ``theta_row_sums`` re-export, and calls on that universe that take an
+alphabet: ``phi_free``, the star maps (its closed-form rows, no graph
+built) and the graph builders.  The brute-force linear-extension oracle for
+the two hooks is in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
-from itertools import permutations
 from math import factorial, prod
 
 from . import operads
@@ -24,9 +24,9 @@ from .alphabet import Alphabet
 from .graded_graph import GradedGraph, GradedGraphPair
 # theta_row_sums, the U path recurrence, lives with the graph builders in
 # ``operads``; it is importable from here too
-from .operads import OracleBoundError, TreeUniverse, theta_row_sums
+from .operads import TreeUniverse, theta_row_sums
 from .poly import Combination
-from .tree import SyntaxTree, _deletions, _subtrees, node_stats
+from .tree import SyntaxTree, _deletions, _subtrees
 
 
 # -- the star maps ----------------------------------------------------------------
@@ -78,45 +78,6 @@ def phi_self_singleton(t: SyntaxTree, alphabet: Alphabet) -> int:
     return t.arity - len(_deletions(t))  # one deletion per maximal node
 
 
-# -- brute-force oracle -----------------------------------------------------------
-
-def _ancestor_pairs(t: SyntaxTree, twisted: bool):
-    internal = node_stats(t).internal_nodes
-    pairs = []
-    for u in internal:
-        for v in internal:
-            if u == v:
-                continue
-            if twisted:
-                # u before v when v sits past a non-first child of u,
-                # or u sits inside the first subtree of v
-                if (len(v) > len(u) and v[:len(u)] == u and v[len(u)] >= 2) or \
-                   (len(u) > len(v) and u[:len(v)] == v and u[len(v)] == 1):
-                    pairs.append((u, v))
-            else:
-                if len(v) > len(u) and v[:len(u)] == u:
-                    pairs.append((u, v))
-    return internal, pairs
-
-
-def linear_extensions(t: SyntaxTree, twisted: bool = False, *, bound: int = 8,
-                      return_words: bool = False):
-    """Count linear extensions of the (twisted) order on internal nodes by
-    filtering all permutations; the independent oracle for the hook formulas."""
-    if t.degree > bound:
-        raise OracleBoundError(f"degree {t.degree} exceeds the oracle bound {bound}")
-    internal, pairs = _ancestor_pairs(t, twisted)
-    words = []
-    count = 0
-    for perm in permutations(internal):
-        position = {u: k for k, u in enumerate(perm)}
-        if all(position[u] < position[v] for u, v in pairs):
-            count += 1
-            if return_words:
-                words.append(perm)
-    return (count, words) if return_words else count
-
-
 # -- graph builders ----------------------------------------------------------------
 
 def prefix_graph(alphabet: Alphabet) -> GradedGraph:
@@ -129,7 +90,3 @@ def twisted_graph(alphabet: Alphabet) -> GradedGraph:
 
 def prefix_pair(alphabet: Alphabet) -> GradedGraphPair:
     return operads.prefix_pair(TreeUniverse(alphabet))
-
-
-def self_pair(alphabet: Alphabet) -> GradedGraphPair:
-    return operads.self_pair(TreeUniverse(alphabet))

@@ -118,7 +118,9 @@ class GradedGraph:
 
     def path_weight_sum(self, x, y) -> int:
         """Sum over paths from x to y of the product of edge weights
-        (the multipath count for natural graphs); 1 when x = y."""
+        (the multipath count for natural graphs); 1 when x = y.  The package
+        calls it nowhere: it is the count the tests compare hooks with, and
+        the one for V paths between two trees, which have no product formula."""
         rx, ry = self.universe.degree(x), self.universe.degree(y)
         if rx > ry:
             return 0

@@ -643,7 +643,7 @@ def v_operad_oracle(op: Operad, x) -> Combination:
     return Combination(op, dict.fromkeys(seen, 1))
 
 
-# -- generators and order ---------------------------------------------------------------
+# -- generators -----------------------------------------------------------------------
 
 def minimal_generators(op: Operad, arity_max: int) -> list:
     """The unique minimal generating set up to the given arity: strip out,
@@ -662,12 +662,6 @@ def minimal_generators(op: Operad, arity_max: int) -> list:
         gens.extend(new)
         span_by_arity[n] = reachable | set(new)
     return sorted(gens, key=op.sort_key)
-
-
-def operad_poset_leq(op: Operad, x, y) -> bool:
-    """x below y in the prefix order: some path of generator grafts leads
-    from x to y (every edge weight is positive)."""
-    return prefix_graph(op).path_weight_sum(x, y) > 0
 
 
 # -- path enumeration by arity --------------------------------------------------------------

@@ -17,7 +17,7 @@ from operator import attrgetter
 
 from .alphabet import Alphabet
 from .series import Series2
-from .tree import LEAF, SyntaxTree, _node, _nodes, _subtrees, enumerate_trees, is_prefix
+from .tree import LEAF, SyntaxTree, _node, _nodes, enumerate_trees, is_prefix
 
 Forest = tuple[SyntaxTree, ...]
 
@@ -174,11 +174,6 @@ def interval(s: SyntaxTree, t: SyntaxTree, mode: str = "count"):
 
 
 # -- enumeration -----------------------------------------------------------------------
-
-def is_stringy(t: SyntaxTree) -> bool:
-    """At most one internal child under every internal node."""
-    return all(sum(not c.is_leaf for c in sub.children) <= 1 for sub in _subtrees(t))
-
 
 def stringy_count(alphabet: Alphabet, d: int) -> int:
     """Number of stringy trees of degree d (the co-irreducible elements):

@@ -1,18 +1,20 @@
+import inspect
 import math
 from itertools import product
 
 import pytest
 
 from opergraph import (LEAF, Alphabet, Combination, contract_node, corolla,
-                       enumerate_trees, node_stats, parse_term)
-from opergraph.free_graphs import (OracleBoundError, hook_closed_form,
-                                   linear_extensions, multinomial,
+                       enumerate_trees, free_graphs, node_stats, parse_term)
+from opergraph.free_graphs import (hook_closed_form, multinomial,
                                    phi_free, phi_self_singleton, prefix_graph,
-                                   prefix_pair, self_pair, theta_row_sums,
+                                   prefix_pair, theta_row_sums,
                                    twisted_graph, twisted_hook, up_star_free,
                                    v_star_free)
-from opergraph.operads import TreeUniverse
+from opergraph.operads import OracleBoundError, TreeUniverse, self_pair
 from opergraph.tree import nf
+
+from oracles import linear_extensions
 
 
 def test_up_free_examples(a2):
@@ -182,7 +184,7 @@ def test_phi_self_singleton(a2, a2b2):
 
 
 def test_self_commutator_witness_two_letters(a2b2):
-    pair = self_pair(a2b2)
+    pair = self_pair(TreeUniverse(a2b2))
     commutator = pair.duality_commutator(parse_term("a[*,*]", a2b2))
     assert commutator == Combination(TreeUniverse(a2b2), {
         parse_term("a[*,*]", a2b2): 3,
@@ -213,3 +215,19 @@ def test_hook_series_match_closed_forms(a2c3):
         for t in enumerate_trees(a2c3, d):
             assert u_hooks[t] == hook_closed_form(t)
             assert v_hooks[t] == twisted_hook(t)
+
+
+def test_module_functions_are_the_pinned_ones():
+    """The public functions of the module: the closed forms the CLI prints,
+    the alphabet-taking calls the benchmark reads by name, and the
+    ``theta_row_sums`` re-export."""
+    found = {name for name, value in vars(free_graphs).items()
+             if inspect.isfunction(value) and not name.startswith("_")}
+    assert found == {
+        "multinomial", "hook_closed_form", "twisted_hook", "phi_self_singleton",
+        "phi_free", "up_star_free", "v_star_free", "prefix_graph", "twisted_graph",
+        "prefix_pair", "theta_row_sums",
+    }
+    imported = {name for name in found
+                if getattr(free_graphs, name).__module__ != free_graphs.__name__}
+    assert imported == {"theta_row_sums"}

@@ -5,10 +5,10 @@ import pytest
 
 from opergraph import LEAF, Alphabet, Combination, corolla, enumerate_trees, parse_term
 from opergraph.free_graphs import (hook_closed_form, phi_free, prefix_graph, prefix_pair,
-                                   self_pair, twisted_graph, twisted_hook)
+                                   twisted_graph, twisted_hook)
 from opergraph import operads, tree
 from opergraph.graded_graph import GradedGraph, GradedGraphPair
-from opergraph.operads import get_operad
+from opergraph.operads import TreeUniverse, get_operad
 
 
 def test_up_adjoint_examples(a2):
@@ -427,7 +427,7 @@ def test_discovery_matches_the_oracle_on_operads(selector, kind):
 @pytest.mark.parametrize("text,kind", FREE_PAIRS)
 def test_discovery_matches_the_oracle_on_free_pairs(text, kind):
     alphabet = Alphabet.parse(text)
-    pair = (prefix_pair if kind == "uv" else self_pair)(alphabet)
+    pair = (operads.prefix_pair if kind == "uv" else operads.self_pair)(TreeUniverse(alphabet))
     report = pair.check_phi_diagonal(None, 4)
     assert summary(report) == reference_report(pair, None, 4)
 
@@ -447,7 +447,7 @@ def test_check_matches_the_oracle_on_operads(selector, kind):
 @pytest.mark.parametrize("text,kind", FREE_PAIRS)
 def test_check_matches_the_oracle_on_free_pairs(text, kind):
     alphabet = Alphabet.parse(text)
-    pair = (prefix_pair if kind == "uv" else self_pair)(alphabet)
+    pair = (operads.prefix_pair if kind == "uv" else operads.self_pair)(TreeUniverse(alphabet))
     target = enumerate_trees(alphabet, 3)[-1]
     for phi in (lambda t: phi_free(t, alphabet), lambda t: phi_free(t, alphabet) + (t is target)):
         report = pair.check_phi_diagonal(phi, 4)
@@ -455,7 +455,7 @@ def test_check_matches_the_oracle_on_free_pairs(text, kind):
 
 
 def test_two_letter_self_pair_failure_matches_the_oracle(a2b2):
-    pair = self_pair(a2b2)
+    pair = operads.self_pair(TreeUniverse(a2b2))
     report = pair.check_phi_diagonal(None, 2)
     assert not report.ok
     assert summary(report) == reference_report(pair, None, 2)

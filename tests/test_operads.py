@@ -9,13 +9,14 @@ import pytest
 
 from opergraph import (LEAF, Alphabet, Combination, Letter, TreeUniverse, compose_index,
                        corolla, enumerate_trees, is_prefix, node, parse_term)
-from opergraph.free_graphs import OracleBoundError
-from opergraph.operads import (AsOperad, CompOperad, FCatOperad, Operad,
+from opergraph.operads import (AsOperad, CompOperad, FCatOperad, OracleBoundError, Operad,
                                WordOperad, evaluate_tree,
                                generator_alphabet, get_operad, minimal_generators,
-                               operad_poset_leq, prefix_graph, prefix_pair, render_word,
+                               prefix_graph, prefix_pair, render_word,
                                self_pair, treelike_expressions, twisted_graph,
                                v_operad_oracle)
+
+from oracles import operad_poset_leq
 
 AS = get_operad("as")
 DIAS = get_operad("dias")

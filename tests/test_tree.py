@@ -13,8 +13,8 @@ from opergraph import (LEAF, Alphabet, Letter, SyntaxTree, TreeUniverse, compose
                        node_stats, parse_term, subtree_at)
 from opergraph.free_graphs import hook_closed_form, twisted_graph, twisted_hook
 from opergraph.tree import _INTERN, AddressError, ParseError, _nodes, format_address, nf
-from opergraph.tree_poset import is_stringy
 
+from oracles import is_stringy
 from series_oracle import interval_series_by_iteration
 
 ABC = Alphabet.parse("a:2,b:2,c:3")

@@ -10,11 +10,12 @@ from opergraph.free_graphs import prefix_graph, up_star_free
 from opergraph.tree_poset import (NotComparableError, difference_forest,
                                   interval, interval_count, interval_count_brute,
                                   interval_elements, interval_series,
-                                  interval_shadow, is_stringy, join, load,
+                                  interval_shadow, join, load,
                                   meet, poset_leq, prefixes, shadow,
                                   stringy_count)
 from opergraph.tree import _INTERN
 
+from oracles import is_stringy
 from series_oracle import interval_series_by_iteration
 
 
