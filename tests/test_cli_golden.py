@@ -31,8 +31,10 @@ README = HERE.parent / "README.md"
 # a join with no upper bound, an unevaluated interval series and operad
 # generators in plain text; then path series whose top rank has trees the
 # rank below never shows (three letter arities), a degree-0 series and the
-# series of the empty alphabet; last the empty alphabet's interval series,
-# whose trailing zeros at q = 0 come from --max alone
+# series of the empty alphabet; then the empty alphabet's interval series,
+# whose trailing zeros at q = 0 come from --max alone; last a failing fcat:6
+# self pair, whose rank 2 comes out of canonical order (a letter reaches 10),
+# so its witness is the first failure in the canonical walk of that rank
 EXTRA = [
     "export-dot --alphabet a:2 --graph v --max 3",
     "export-dot --alphabet a:2 --graph u --max 2 --json",
@@ -92,6 +94,8 @@ EXTRA = [
     "paths-series --alphabet '' --graph v --max 3",
     "poset interval-series --alphabet '' --max 3",
     "poset interval-series --alphabet '' --max 3 --q 0",
+    "check-duality --operad fcat:6 --pair uu --max 2",
+    "check-duality --operad fcat:6 --pair uu --max 2 --json",
 ]
 
 
