@@ -20,8 +20,8 @@ from functools import partial
 from importlib import resources
 
 from .alphabet import Alphabet
-from .free_graphs import (hook_closed_form, phi_self_singleton, theta_row_sums,
-                          twisted_hook)
+# via free_graphs, so that importing the CLI loads every module the benchmark looks up
+from .free_graphs import theta_row_sums
 from .operads import (TreeUniverse, get_operad, minimal_generators, prefix_graph,
                       prefix_pair, self_pair, twisted_graph, v_operad_oracle)
 from .tree import enumerate_trees, parse_term
@@ -87,8 +87,8 @@ def cmd_trees(args) -> int:
 
 
 def cmd_hook(args, stat) -> int:
-    alphabet = Alphabet.parse(args.alphabet)
-    rows = [(t.term, stat(t)) for t in enumerate_trees(alphabet, args.degree)]
+    universe = TreeUniverse(Alphabet.parse(args.alphabet))
+    rows = [(t.term, stat(universe, t)) for t in universe.elements_of_rank(args.degree)]
     return _emit(args, {"degree": args.degree, "hooks": rows},
                  (f"{term} {value}" for term, value in rows))
 
@@ -260,8 +260,7 @@ def _check_uniform_hooks(fx: dict):
 
 def _check_duality(fx: dict):
     universe, pair = _fixture_pair(fx)
-    phi = (partial(phi_self_singleton, alphabet=universe.alphabet)
-           if fx["kind"] == "free_self_duality" else universe.phi)
+    phi = universe.phi_self if fx["kind"] == "free_self_duality" else universe.phi
     report = pair.check_phi_diagonal(phi, fx["max_degree"])
     return report.ok, "diagonal", "diagonal" if report.ok else \
         report.witness.render()
@@ -379,7 +378,7 @@ _COMMANDS = {
                       help="enumerate trees of one degree"),
     **{name: _command(partial(cmd_hook, stat=stat), _ALPHABET, ("--degree", _BOUND),
                       help=f"{name} statistic per tree of one degree")
-       for name, stat in (("hook", hook_closed_form), ("twisted-hook", twisted_hook))},
+       for name, stat in (("hook", TreeUniverse.hook_u), ("twisted-hook", TreeUniverse.hook_v))},
     "paths-series": _command(cmd_paths_series, _ALPHABET, _GRAPH, _MAX,
                              help="initial multipath counts by rank"),
     "check-duality": _command(cmd_check_duality, _TARGET,

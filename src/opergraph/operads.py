@@ -4,10 +4,12 @@ Each operad packages an element codec, composition, a degree, its minimal
 generators, and the rows (dicts element -> weight) of its two maps,
 ``up_row`` and ``v_row``; it doubles as the universe object for combinations
 and graded graphs over its elements.  Elements are plain ints (the chain),
-syntax trees (the free operad on an alphabet, ``TreeUniverse``) or tuples of
+syntax trees (the free operad on an alphabet, ``TreeUniverse``, which also
+holds the trees' hooks ``hook_u``/``hook_v`` and ``phi_self``) or tuples of
 small ints: ``WordOperad`` holds what the word operads (dias, comp, motz,
 fcat:m) share, and each keeps only its own generators, shift, word
-predicate, slices, twisted map and diagonal.
+predicate, slices, twisted map and diagonal.  ``generator_alphabet`` names
+each generator as a letter, for the treelike-expression oracles.
 
 ``Operad.up_row`` makes one ``compose`` per (generator, position) pair and
 stays the oracle; the chain and the word operads give their up rows
@@ -53,7 +55,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import repeat
-from math import comb
+from math import comb, factorial, prod
 
 from .alphabet import Alphabet, Letter
 from .graded_graph import GradedGraph, GradedGraphPair
@@ -167,7 +169,14 @@ class Operad:
         """Initial path counts of the grafting graph to rank d.  A U path lifts
         to one free path over ``generator_alphabet``, and the weights of both
         depend only on the arities, so the counts are the free ones."""
-        return theta_row_sums(generator_alphabet(self)[0], d)
+        return theta_row_sums(self.generator_alphabet[0], d)
+
+    @cached_property
+    def generator_alphabet(self) -> tuple[Alphabet, dict]:
+        """A letter per generator (named g<word>), with the decoding map."""
+        mapping = {Letter("g" + self.render_elem(g).replace(",", "_"), self.arity(g)): g
+                   for g in self.generators}
+        return Alphabet(mapping), mapping
 
     # -- codec ----------------------------------------------------------------
 
@@ -459,9 +468,9 @@ class FCatOperad(WordOperad):
 class TreeUniverse(Operad):
     """The free nonsymmetric operad on an alphabet: trees graded by degree,
     composed by grafting onto the i-th leaf, generated by the corollas in
-    alphabet order.  Its slices come from ``tree.enumerate_trees`` (so the
-    base slice cache is never built), and it adds both star rows and the
-    twisted out-degree in closed form."""
+    alphabet order (its own generator alphabet).  Its slices come from
+    ``tree.enumerate_trees``, so the base slice cache is never built.  Star
+    rows, twisted out-degree, hooks and ``phi_self`` are closed forms."""
 
     unit = LEAF
 
@@ -475,6 +484,11 @@ class TreeUniverse(Operad):
     @cached_property
     def generators(self) -> tuple[SyntaxTree, ...]:
         return tuple(corolla(letter) for letter in self.alphabet)
+
+    @cached_property
+    def generator_alphabet(self) -> tuple[Alphabet, dict]:
+        """The alphabet itself, each letter decoding to its corolla."""
+        return self.alphabet, dict(zip(self.alphabet, self.generators))
 
     def arity(self, t: SyntaxTree) -> int:
         return t.arity
@@ -525,6 +539,31 @@ class TreeUniverse(Operad):
     def phi(self, t: SyntaxTree) -> int:
         """Diagonal coefficient making the prefix/twisted pair dual."""
         return len(self.alphabet) * nf(t)
+
+    def phi_self(self, t: SyntaxTree) -> int:
+        """Self-duality coefficient arity(t) - #maximal(t); only singleton
+        alphabets admit a diagonal self-commutator."""
+        if len(self.alphabet) != 1:
+            raise ValueError(
+                f"self-duality is diagonal only for singleton alphabets, got {self.name}")
+        return t.arity - len(_deletions(t))  # one deletion per maximal node
+
+    def hook_u(self, t: SyntaxTree) -> int:
+        """deg(t)! divided by the product of the degrees of all internal-node
+        subtrees; counts the linear extensions of the ancestor order of t."""
+        return factorial(t.degree) // prod(sub.degree for sub in _subtrees(t))
+
+    def hook_v(self, t: SyntaxTree) -> int:
+        """Linear extensions of the twisted ancestor order: at each internal
+        node, the shuffles of the subtrees past the first child, one binomial
+        per child as their degree sum runs up."""
+        out = 1
+        for sub in _subtrees(t):
+            total = 0
+            for child in sub.children[1:]:
+                total += child.degree
+                out *= comb(total, child.degree)
+        return out
 
     def up_paths(self, d: int) -> list[int]:
         """``Operad.up_paths`` on the alphabet itself, so no corolla is built."""
@@ -592,28 +631,13 @@ def get_operad(selector: str) -> Operad:
 
 # -- treelike expressions ------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def generator_alphabet(op: Operad):
-    """A letter per generator (named g<word>), with the decoding map.  A free
-    operad's alphabet is its own, each letter decoding to its corolla."""
-    if isinstance(op, TreeUniverse):
-        return op.alphabet, dict(zip(op.alphabet, op.generators))
-    letters, mapping = [], {}
-    for g in op.generators:
-        name = "g" + op.render_elem(g).replace(",", "_")
-        letter = Letter(name, op.arity(g))
-        letters.append(letter)
-        mapping[letter] = g
-    return Alphabet(letters), mapping
-
-
 def evaluate_tree(op: Operad, t: SyntaxTree):
     """The evaluation morphism: decode letters and compose down the tree.
 
     A preorder walk with an explicit stack, so depth is no limit.  The
     leaves met so far are the first inputs of the composite, so the node
     visited next fills input ``leaves + 1`` with its generator."""
-    _, mapping = generator_alphabet(op)
+    _, mapping = op.generator_alphabet
     x, leaves, stack = op.unit, 0, [t]
     while stack:
         sub = stack.pop()
@@ -630,14 +654,14 @@ def treelike_expressions(op: Operad, x) -> list[SyntaxTree]:
     d = op.degree(x)
     if d > ORACLE_BOUND:
         raise OracleBoundError(f"degree {d} exceeds the oracle bound {ORACLE_BOUND}")
-    alphabet, _ = generator_alphabet(op)
+    alphabet, _ = op.generator_alphabet
     return [t for t in enumerate_trees(alphabet, d) if evaluate_tree(op, t) == x]
 
 
 def v_operad_oracle(op: Operad, x) -> Combination:
     """Twisted successors through treelike expressions: evaluate the free
     twisted map on every expression of x and collect the images."""
-    free = TreeUniverse(generator_alphabet(op)[0])
+    free = TreeUniverse(op.generator_alphabet[0])
     seen = {evaluate_tree(op, t2)
             for t in treelike_expressions(op, x) for t2 in free.v_explicit(t)}
     return Combination(op, dict.fromkeys(seen, 1))

@@ -3,7 +3,7 @@ the closed forms and the orders that the package computes.
 
 * ``linear_extensions`` counts the linear extensions of a tree's (twisted)
   ancestor order by filtering every permutation of its internal nodes: the
-  oracle for ``hook_closed_form`` and ``twisted_hook``.
+  oracle for the closed forms ``TreeUniverse.hook_u`` and ``hook_v``.
 * ``operad_poset_leq`` decides an operad's prefix order by walking U fronts.
 * ``is_stringy`` tests a tree for the stringy shape that ``stringy_count``
   counts in closed form.

@@ -12,8 +12,7 @@ from opergraph import (LEAF, Alphabet, Combination, enumerate_trees,
                        is_prefix, parse_term)
 from opergraph import free_graphs, operads
 from opergraph.cli import verify_fixtures
-from opergraph.free_graphs import (hook_closed_form, phi_free, phi_self_singleton,
-                                   theta_row_sums, twisted_hook)
+from opergraph.free_graphs import phi_free, theta_row_sums
 from opergraph.operads import TreeUniverse, get_operad
 from opergraph.tree import nf
 from opergraph.tree_poset import (interval, interval_series, join, load, meet,
@@ -82,8 +81,8 @@ def test_criterion_03_free_pair_diagonal_duality():
 def test_criterion_04_singleton_self_duality():
     started = time.perf_counter()
     a2 = Alphabet.parse("a:2")
-    report = operads.self_pair(TreeUniverse(a2)).check_phi_diagonal(
-        lambda t: phi_self_singleton(t, a2), 5)
+    free = TreeUniverse(a2)
+    report = operads.self_pair(free).check_phi_diagonal(free.phi_self, 5)
     assert report.ok
 
     a2b2 = Alphabet.parse("a:2,b:2")
@@ -100,14 +99,15 @@ def test_criterion_05_hook_oracle_equivalence():
     started = time.perf_counter()
     for text, depth in (("a:2", 5), ("a:2,c:3", 4)):
         alphabet = Alphabet.parse(text)
+        free = TreeUniverse(alphabet)
         u_hooks = {x: h for s in free_graphs.prefix_graph(alphabet).iter_hook_slices(depth)
                    for x, h in s.items()}
         v_hooks = {x: h for s in free_graphs.twisted_graph(alphabet).iter_hook_slices(depth)
                    for x, h in s.items()}
         for d in range(depth + 1):
             for t in enumerate_trees(alphabet, d):
-                straight = hook_closed_form(t)
-                twisted = twisted_hook(t)
+                straight = free.hook_u(t)
+                twisted = free.hook_v(t)
                 assert straight == u_hooks[t] == linear_extensions(t)
                 assert twisted == v_hooks[t] == linear_extensions(t, twisted=True)
     _report(5, "hook closed forms = graph hooks = linear extensions", started)
@@ -232,12 +232,11 @@ def test_criterion_11_operad_hook_fixtures():
 
 def test_criterion_12_twisted_oracle_and_homogeneity():
     started = time.perf_counter()
-    from opergraph.operads import (evaluate_tree, generator_alphabet,
-                                   treelike_expressions, twisted_graph,
+    from opergraph.operads import (evaluate_tree, treelike_expressions, twisted_graph,
                                    v_operad_oracle)
     for selector in ("comp", "motz", "fcat:1"):
         op = get_operad(selector)
-        alphabet, _ = generator_alphabet(op)
+        alphabet, _ = op.generator_alphabet
         for d in range(4):
             for t in enumerate_trees(alphabet, d):
                 assert op.degree(evaluate_tree(op, t)) == d

@@ -604,6 +604,22 @@ def test_importing_the_cli_builds_no_parser():
     assert proc.stdout.splitlines()[0] == "0", proc.stderr
 
 
+# the modules whose functions perfbench looks up by name, some of them only
+# inside a timed operation
+BENCHMARK_MODULES = ("opergraph.free_graphs", "opergraph.operads", "opergraph.tree",
+                     "opergraph.tree_poset", "opergraph.poly")
+
+
+def test_importing_the_cli_loads_every_module_the_benchmark_looks_up():
+    """perfbench imports the CLI in its set-up, so a module that import
+    leaves out would be imported inside the first timed operation that
+    looks it up, and counted in that operation's time."""
+    proc = _child("import sys, opergraph.cli\n"
+                  "print(*(m for m in sys.argv[1:] if m not in sys.modules))",
+                  *BENCHMARK_MODULES)
+    assert (proc.returncode, proc.stdout) == (0, "\n"), proc.stderr
+
+
 @pytest.mark.parametrize("argv, parsers", [
     (["check-duality", "--operad", "comp", "--max", "2"], 2),
     (["poset", "meet", "--alphabet", "a:2", "--left", "*", "--right", "*"], 3),

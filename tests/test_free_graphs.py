@@ -1,16 +1,12 @@
 import inspect
-import math
 from itertools import product
 
 import pytest
 
 from opergraph import (LEAF, Alphabet, Combination, contract_node, corolla,
                        enumerate_trees, free_graphs, node_stats, parse_term)
-from opergraph.free_graphs import (hook_closed_form, multinomial,
-                                   phi_free, phi_self_singleton, prefix_graph,
-                                   prefix_pair, theta_row_sums,
-                                   twisted_graph, twisted_hook, up_star_free,
-                                   v_star_free)
+from opergraph.free_graphs import (phi_free, prefix_graph, prefix_pair, theta_row_sums,
+                                   twisted_graph, up_star_free, v_star_free)
 from opergraph.operads import OracleBoundError, TreeUniverse, self_pair
 from opergraph.tree import nf
 
@@ -84,18 +80,20 @@ def test_singleton_twisted_graph_is_a_tree(a2):
 
 
 def test_hook_closed_form_examples(a2):
-    assert hook_closed_form(LEAF) == 1
+    free = TreeUniverse(a2)
+    assert free.hook_u(LEAF) == 1
     comb = parse_term("a[a[a[a[*,*],*],*],*]", a2)
-    assert hook_closed_form(comb) == 1
+    assert free.hook_u(comb) == 1
     balanced = parse_term("a[a[*,*],a[*,*]]", a2)
-    assert hook_closed_form(balanced) == 2
+    assert free.hook_u(balanced) == 2
     assert linear_extensions(balanced) == 2
 
 
 def test_twisted_hook_examples(eac):
-    assert twisted_hook(LEAF) == 1
+    free = TreeUniverse(eac)
+    assert free.hook_v(LEAF) == 1
     t = parse_term("c[a[c[*,*,*],e[*]],c[*,*,*],e[a[a[*,*],*]]]", eac)
-    assert twisted_hook(t) == 4
+    assert free.hook_v(t) == 4
     count, words = linear_extensions(t, twisted=True, return_words=True)
     assert count == 4
     assert words == [
@@ -107,10 +105,11 @@ def test_twisted_hook_examples(eac):
 
 
 def test_hooks_equal_linear_extensions(a2c3):
+    free = TreeUniverse(a2c3)
     for d in range(5):
         for t in enumerate_trees(a2c3, d):
-            assert hook_closed_form(t) == linear_extensions(t)
-            assert twisted_hook(t) == linear_extensions(t, twisted=True)
+            assert free.hook_u(t) == linear_extensions(t)
+            assert free.hook_v(t) == linear_extensions(t, twisted=True)
 
 
 def test_linear_extensions_chain_and_bound(a2):
@@ -124,16 +123,6 @@ def test_linear_extensions_chain_and_bound(a2):
     with pytest.raises(OracleBoundError):
         linear_extensions(big)
     assert linear_extensions(big, bound=9) == 1
-
-
-def test_multinomial():
-    assert multinomial([]) == 1
-    assert multinomial([1, 3]) == 4
-    for parts in ([2, 2], [1, 2, 3], [0, 4]):
-        expected = math.factorial(sum(parts))
-        for p in parts:
-            expected //= math.factorial(p)
-        assert multinomial(parts) == expected
 
 
 def test_theta_examples(a2, a2c3):
@@ -177,10 +166,10 @@ def test_nf_and_phi_free(a2, eac):
 
 
 def test_phi_self_singleton(a2, a2b2):
-    assert phi_self_singleton(LEAF, a2) == 1
-    assert phi_self_singleton(parse_term("a[*,*]", a2), a2) == 1
-    with pytest.raises(ValueError):
-        phi_self_singleton(LEAF, a2b2)
+    assert TreeUniverse(a2).phi_self(LEAF) == 1
+    assert TreeUniverse(a2).phi_self(parse_term("a[*,*]", a2)) == 1
+    with pytest.raises(ValueError, match="only for singleton alphabets, got a:2,b:2"):
+        TreeUniverse(a2b2).phi_self(LEAF)
 
 
 def test_self_commutator_witness_two_letters(a2b2):
@@ -209,22 +198,22 @@ def test_unary_twisted_graph_is_the_line():
 
 
 def test_hook_series_match_closed_forms(a2c3):
+    free = TreeUniverse(a2c3)
     u_hooks = {x: h for s in prefix_graph(a2c3).iter_hook_slices(4) for x, h in s.items()}
     v_hooks = {x: h for s in twisted_graph(a2c3).iter_hook_slices(4) for x, h in s.items()}
     for d in range(5):
         for t in enumerate_trees(a2c3, d):
-            assert u_hooks[t] == hook_closed_form(t)
-            assert v_hooks[t] == twisted_hook(t)
+            assert u_hooks[t] == free.hook_u(t)
+            assert v_hooks[t] == free.hook_v(t)
 
 
 def test_module_functions_are_the_pinned_ones():
-    """The public functions of the module: the closed forms the CLI prints,
-    the alphabet-taking calls the benchmark reads by name, and the
-    ``theta_row_sums`` re-export."""
+    """The public functions of the module: the alphabet-taking calls the
+    benchmark reads by name, and the ``theta_row_sums`` re-export.  The
+    closed forms the CLI prints are ``TreeUniverse`` methods."""
     found = {name for name, value in vars(free_graphs).items()
              if inspect.isfunction(value) and not name.startswith("_")}
     assert found == {
-        "multinomial", "hook_closed_form", "twisted_hook", "phi_self_singleton",
         "phi_free", "up_star_free", "v_star_free", "prefix_graph", "twisted_graph",
         "prefix_pair", "theta_row_sums",
     }

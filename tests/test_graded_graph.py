@@ -4,8 +4,7 @@ from math import comb, factorial
 import pytest
 
 from opergraph import LEAF, Alphabet, Combination, corolla, enumerate_trees, parse_term
-from opergraph.free_graphs import (hook_closed_form, phi_free, prefix_graph, prefix_pair,
-                                   twisted_graph, twisted_hook)
+from opergraph.free_graphs import phi_free, prefix_graph, prefix_pair, twisted_graph
 from opergraph import operads, tree
 from opergraph.graded_graph import GradedGraph, GradedGraphPair
 from opergraph.operads import TreeUniverse, get_operad
@@ -308,7 +307,8 @@ def test_returning_paths_series(text, expected):
     closed-form hooks over the enumerated trees."""
     alphabet = Alphabet.parse(text)
     assert prefix_pair(alphabet).returning_paths_series(5).t_coeff_list(5) == expected
-    assert [sum(hook_closed_form(t) * twisted_hook(t) for t in enumerate_trees(alphabet, d))
+    free = TreeUniverse(alphabet)
+    assert [sum(free.hook_u(t) * free.hook_v(t) for t in enumerate_trees(alphabet, d))
             for d in range(6)] == expected
 
 

@@ -10,8 +10,7 @@ import pytest
 from opergraph import (LEAF, Alphabet, Combination, Letter, TreeUniverse, compose_index,
                        corolla, enumerate_trees, is_prefix, node, parse_term)
 from opergraph.operads import (AsOperad, CompOperad, FCatOperad, OracleBoundError, Operad,
-                               WordOperad, evaluate_tree,
-                               generator_alphabet, get_operad, minimal_generators,
+                               WordOperad, evaluate_tree, get_operad, minimal_generators,
                                prefix_graph, prefix_pair, render_word,
                                self_pair, treelike_expressions, twisted_graph,
                                v_operad_oracle)
@@ -319,7 +318,7 @@ def test_v_is_simple_and_graded():
 
 
 def test_generator_alphabet_roundtrip():
-    alphabet, mapping = generator_alphabet(MOTZ)
+    alphabet, mapping = MOTZ.generator_alphabet
     assert {letter.name for letter in alphabet} == {"g00", "g010"}
     assert sorted(mapping.values()) == [(0, 0), (0, 1, 0)]
     # evaluation sends each generator corolla to its generator
@@ -354,7 +353,7 @@ def test_motz_order_is_factor_collapsing():
 
 
 def test_treelike_expressions_comp():
-    alphabet, _ = generator_alphabet(COMP)
+    alphabet, _ = COMP.generator_alphabet
     trees = treelike_expressions(COMP, (0, 1, 0))
     assert parse_term("g00[g01[*,*],*]", alphabet) in trees
     assert parse_term("g01[*,g01[*,*]]", alphabet) in trees
@@ -368,7 +367,7 @@ def test_treelike_expressions_comp():
 def test_evaluation_of_a_deep_comb_does_not_recurse(name, word):
     """A right comb 5,000 deep, far past the recursion limit.  Under a 1 in
     comp each inserted word is complemented, so the g01 comb alternates."""
-    alphabet, _ = generator_alphabet(COMP)
+    alphabet, _ = COMP.generator_alphabet
     comb = LEAF
     for _ in range(5000):
         comb = node(alphabet[name], (LEAF, comb))
@@ -378,7 +377,7 @@ def test_evaluation_of_a_deep_comb_does_not_recurse(name, word):
 @pytest.mark.parametrize("op", [COMP, MOTZ, FCAT1])
 def test_homogeneity_certified(op):
     """Every expression in a fiber has the degree the operad assigns."""
-    alphabet, _ = generator_alphabet(op)
+    alphabet, _ = op.generator_alphabet
     for d in range(4):
         for t in enumerate_trees(alphabet, d):
             x = evaluate_tree(op, t)
@@ -480,7 +479,7 @@ def test_operad_poset_matches_decomposition_search():
 
 def test_evaluation_is_an_order_preserving_surjection():
     op = COMP
-    alphabet, _ = generator_alphabet(op)
+    alphabet, _ = op.generator_alphabet
     images = set()
     for d in range(5):
         for t in enumerate_trees(alphabet, d):

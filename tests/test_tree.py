@@ -11,7 +11,7 @@ from opergraph import (LEAF, Alphabet, Letter, SyntaxTree, TreeUniverse, compose
                        compose_forest, compose_index, contract_node, corolla,
                        delete_node, enumerate_trees, free_graphs, is_prefix, node,
                        node_stats, parse_term, subtree_at)
-from opergraph.free_graphs import hook_closed_form, twisted_graph, twisted_hook
+from opergraph.free_graphs import twisted_graph
 from opergraph.tree import _INTERN, AddressError, ParseError, _nodes, format_address, nf
 
 from oracles import is_stringy
@@ -433,7 +433,7 @@ def test_deep_trees_render_without_recursion():
 # the twisted up row of a comb of depth D interns about 3·D²/2 new nodes.
 DEEP_COMB_CHECKS = {
     "nf": lambda a, t, d: nf(t) == 1,
-    "hooks": lambda a, t, d: hook_closed_form(t) == twisted_hook(t) == 1,
+    "hooks": lambda a, t, d: TreeUniverse(a).hook_u(t) == TreeUniverse(a).hook_v(t) == 1,
     "contains": lambda a, t, d: TreeUniverse(a).contains(t),
     "is_stringy": lambda a, t, d: is_stringy(t),
     "twisted_up": lambda a, t, d: len(twisted_graph(a).up(t)) == 3 * (d + 1),
@@ -476,7 +476,6 @@ def test_module_caches_are_the_pinned_ones():
     assert found == {
         "opergraph.tree._INTERN",
         "opergraph.tree._degree_slices",
-        "opergraph.operads.generator_alphabet",
         "opergraph.operads.get_operad",
     }
     assert not hasattr(nf, "cache_info")
