@@ -10,11 +10,13 @@ instead, and its star map is then the parent of weight 1.  Paths, hooks,
 exports and the duality check walk rows, and a ``Combination`` is built
 only where a public method returns one.  The diagonal duality check runs
 one rank at a time, over U's rank stream: the operad's closed form where it
-has one (a word's up row from its prefix's row), else ``_slice_rows``, the
-canonical slice with each row from ``up``.  A closed-form stream may come
-out of canonical order, so at the first failure in a rank the check walks
-that rank again through ``_slice_rows``, and the witness is the canonical
-one.  Where V is a tree, the check reads V through its parent map alone.
+has one (a word's up row from its prefix's row, a tree's from its
+children's rows), else ``_slice_rows``, the canonical slice with each row
+from ``up``.  A closed-form stream may come out of canonical order, so at
+the first failure in a rank the check walks that rank again through
+``_slice_rows``, and the witness is the canonical one.  Where V is a tree,
+the check reads V through its parent map alone, and asks it only off the
+unit.
 ``GradedGraphPair.duality_commutator`` is the check's independent oracle.  The
 graphs of every operad, trees included, come from the builders in ``operads``.
 
@@ -43,9 +45,9 @@ class GradedGraph:
     x to the weight sum of its up row, in closed form.  ``paths`` sends d to
     the initial path counts of ranks 0..d, a list of ints.
 
-    ``parent``, given for a graph that is a tree, sends x to its one
-    predecessor, of weight 1, and the unit to None.  With no ``star``, the
-    star map is then ``_parent_row``, derived from it.
+    ``parent``, given for a graph that is a tree, sends each x but the unit
+    to its one predecessor, of weight 1; it is never asked at the unit.
+    With no ``star``, the star map is then ``_parent_row``, derived from it.
 
     The rank stream ``_rows`` sends (rank, below) to the pairs (x, up row
     of x), one for each x of the rank, where ``below`` maps every element
@@ -86,9 +88,9 @@ class GradedGraph:
         return self._reverse.get(x, ())
 
     def _parent_row(self, x) -> tuple:
-        """The star row of a tree-shaped graph: x's parent, of weight 1."""
-        p = self._parent(x)
-        return () if p is None else ((p, 1),)
+        """The star row of a tree-shaped graph: x's parent, of weight 1, and
+        none at the unit, where the parent map is not asked."""
+        return () if x == self.universe.unit else ((self._parent(x), 1),)
 
     def _slice_rows(self, rank: int, below: dict) -> Iterator[tuple]:
         """(x, up row of x) for each x of the rank slice, in canonical order;
@@ -277,7 +279,8 @@ class GradedGraphPair:
         Where V is a tree (``GradedGraph._parent``), no star row is built:
         V*U(x) adds each U edge's weight at the parent of the edge's end,
         one parent per U edge, and UV*(x) is the held U row of x's parent,
-        empty at the unit.  Elsewhere the rank r star rows are computed
+        empty at rank 0, where no row is held and the unit's parent is not
+        asked.  Elsewhere the rank r star rows are computed
         once each, and a rank r+1 star row once per U edge into it, so a y
         reached from several x is asked again each time; when V*(x) is one
         element of weight 1, UV*(x) is that element's U row itself.
@@ -329,8 +332,8 @@ class GradedGraphPair:
                 for y, w in row.items():
                     z = parent(y)
                     vu[z] = get(z, 0) + w
-                p = parent(x)
-                uv = {} if p is None else below[p]  # held, so never written to
+                # held, so never written to; nothing is below the unit
+                uv = below[parent(x)] if below else {}
             else:
                 for y, w in row.items():
                     for z, c in star(y):

@@ -16,19 +16,21 @@ stays the oracle; the chain and the word operads give their up rows
 directly (a word splices shifted generators in place of each letter).  Star
 rows are (element, weight) pairs, in closed form where cheap: the trees
 both.  The twisted graphs of the chain, comp and fcat:m are trees, and those
-operads give a parent map (``v_parent``: x - 1, or a word's prefix) in place
-of a star map; the graph derives the star row from it, and the duality
-check reads one parent per U edge.  Elsewhere the graph reads a reverse-edge
-table, and ``up_adjoint`` reads it for every graph: the oracle for every
-closed form and parent map.  The duality check walks the up rows one rank
-at a time; comp and fcat:m give that rank stream in closed form
-(``up_rows``: a word's up row is its prefix's row, each word extended by
-the last letter, plus the splices at that letter), so a passing check
-builds no degree slice and computes each up row once.  The stream comes
-prefix by prefix, out of canonical order once a letter reaches 10, and on a
-failure the check walks that rank again in canonical order.  The other
-operads and the trees walk their slices, and ``GradedGraph._slice_rows`` is
-the stream's oracle.
+operads give a parent map (``v_parent``: x - 1, or a word's prefix), asked
+only off the unit, in place of a star map; the graph derives the star row
+from it, and the duality check reads one parent per U edge.  Elsewhere the
+graph reads a reverse-edge table, and ``up_adjoint`` reads it for every
+graph: the oracle for every closed form and parent map.  The duality check
+walks the up rows one rank at a time; comp, fcat:m and the trees give that
+rank stream in closed form (``up_rows``).  A word's up row is its prefix's
+row, each word extended by the last letter, plus the splices at that
+letter, so a passing check builds no degree slice and computes each up row
+once; the words come prefix by prefix, out of canonical order once a
+letter reaches 10, and on a failure the check walks that rank again in
+canonical order.  A tree's up row is built from its children's rows, one
+node per U edge, in canonical order, and a subtree shared by trees of the
+rank is expanded once.  The other operads walk their slices, and
+``GradedGraph._slice_rows`` is the stream's oracle.
 
 Each graph also takes its initial path counts from an integer recurrence
 where one exists, and builds no element for them.  ``up_paths`` is
@@ -56,11 +58,12 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import repeat
 from math import comb, factorial, prod
+from operator import itemgetter
 
 from .alphabet import Alphabet, Letter
 from .graded_graph import GradedGraph, GradedGraphPair
 from .poly import Combination
-from .tree import (LEAF, SyntaxTree, _contractions, _deletions, _rebuild, _subtrees,
+from .tree import (LEAF, SyntaxTree, _contractions, _deletions, _nodes, _rebuild, _subtrees,
                    compose_index, corolla, enumerate_trees, nf, parse_term)
 
 
@@ -103,7 +106,7 @@ class Operad:
     up_star = None
     v_star = None
     # the one twisted predecessor, of weight 1, where the twisted graph is a
-    # tree (None at the unit); it stands in for v_star
+    # tree; never asked at the unit, it stands in for v_star
     v_parent = None
     # the twisted path counts by recurrence; None sums the hook slices
     v_paths = None
@@ -261,7 +264,7 @@ class AsOperad(Operad):
 
     def v_parent(self, x):
         """Only x - 1 steps up to x, once."""
-        return x - 1 if x > 1 else None
+        return x - 1
 
 
 class WordOperad(Operad):
@@ -367,9 +370,8 @@ class CompOperad(WordOperad):
     def v_explicit(self, x):
         return [x + (0,), x + (1,)]
 
-    def v_parent(self, y):
-        """A word of length >= 2 comes only from its own prefix, once."""
-        return y[:-1] if len(y) > 1 else None
+    # a word of length >= 2 comes only from its own prefix, once
+    v_parent = itemgetter(slice(None, -1))
 
     def up_rows(self, rank, below):
         """(x, up row of x) for each word x of the rank, given ``below``, the
@@ -470,7 +472,8 @@ class TreeUniverse(Operad):
     composed by grafting onto the i-th leaf, generated by the corollas in
     alphabet order (its own generator alphabet).  Its slices come from
     ``tree.enumerate_trees``, so the base slice cache is never built.  Star
-    rows, twisted out-degree, hooks and ``phi_self`` are closed forms."""
+    rows, the up rows' rank stream, twisted out-degree, hooks and
+    ``phi_self`` are closed forms."""
 
     unit = LEAF
 
@@ -511,6 +514,50 @@ class TreeUniverse(Operad):
 
     def parse_elem(self, text: str) -> SyntaxTree:
         return parse_term(text, self.alphabet)
+
+    def up_rows(self, rank, below):
+        """(t, up row of t) for each tree t of the rank, in canonical order,
+        given ``below``, the up row of each tree of rank - 1.  A graft onto a
+        leaf of t is a graft onto a leaf of one child, so the row of
+        letter[c1..ck] is the union over j of letter[c1..s..ck] for each s in
+        the row of cj, and the leaf's row is the corollas: one intern per U
+        edge.  The rows of the subtrees are kept in a memo seeded from
+        ``below`` and dropped with the rank, so a subtree shared by many
+        trees of the rank is expanded once.  No tree of the rank is a
+        subtree of another, so their own rows are not kept: at the top rank
+        of a check each row, and the trees one rank up in it, can go once
+        the check is done with them.  The walk is post-order with an
+        explicit stack, so depth is no limit; no row is written to once it
+        is built."""
+        memo = {self.unit: self.up_row(self.unit), **below}
+        if rank == 0:
+            yield self.unit, memo[self.unit]
+            return
+        for t in self.elements_of_rank(rank):
+            stack = [t]
+            while stack:
+                sub = stack[-1]
+                if sub in memo:
+                    stack.pop()
+                    continue
+                kids = sub.children
+                missing = [c for c in kids if c not in memo]
+                if missing:
+                    stack.extend(missing)
+                    continue
+                stack.pop()
+                row: dict = {}
+                get = row.get
+                letter = sub.letter
+                for j, c in enumerate(kids):
+                    head, tail = kids[:j], kids[j + 1:]
+                    crow = memo[c]
+                    for y, w in zip(_nodes(letter, [head + (s,) + tail for s in crow]),
+                                    crow.values()):
+                        row[y] = get(y, 0) + w
+                if stack:
+                    memo[sub] = row
+            yield t, row
 
     def v_explicit(self, t: SyntaxTree) -> list[SyntaxTree]:
         """Successors in the twisted graph: a new root above t or above any

@@ -567,6 +567,33 @@ def test_an_extra_u_edge_fails_the_parent_map_check(monkeypatch, selector):
         assert summary(report) == reference_report(pair, phi, 4)
 
 
+@pytest.mark.parametrize("text", ["a:2", "a:2,c:3"])
+def test_an_extra_u_edge_fails_the_tree_stream_check(monkeypatch, text):
+    """One more U edge, out of the last tree of rank 3 into a new root above
+    the first, puts that first tree into V*U(x): the check over the trees'
+    rank stream reports the canonical witness, against phi and in discovery
+    mode.  The self pair, which deletes where V contracts, reports what its
+    oracle reports too: x on a:2, and its rank 1 failure on a:2,c:3."""
+    op = TreeUniverse(Alphabet.parse(text))
+    first, x = op.elements_of_rank(3)[0], op.elements_of_rank(3)[-1]
+    extra = op.v_explicit(first)[0]
+    grow = lambda y, row: {**row, extra: row.get(extra, 0) + 1} if y is x else row
+    for build, phi in ((operads.prefix_pair, op.phi), (operads.prefix_pair, None),
+                       (operads.self_pair, None)):
+        pair = build(op)
+        assert pair.u._rows == op.up_rows
+        rows, up = pair.u._rows, pair.u._up
+        monkeypatch.setattr(pair.u, "_rows", lambda rank, below: (
+            (y, grow(y, row)) for y, row in rows(rank, below)))
+        monkeypatch.setattr(pair.u, "_up", lambda y: grow(y, up(y)))
+        report = pair.check_phi_diagonal(phi, 4)
+        if build is operads.prefix_pair:
+            assert report.witness.commutator.coeff(first) != 0
+        assert (report.witness.element == x) is (build is operads.prefix_pair
+                                                 or text == "a:2")
+        assert summary(report) == reference_report(pair, phi, 4)
+
+
 def test_structural_checks(a2c3):
     """Both free graphs to rank 3 are graded, simple and rooted: every edge
     goes up one rank with weight 1, and every hook is positive."""

@@ -205,6 +205,36 @@ def test_rank_stream_matches_the_slices_and_the_graft_loop(selector, top):
         below = dict(streamed)
 
 
+@pytest.mark.parametrize("text,top,elements", [("", 3, 1), ("e:1", 6, 7), ("a:2", 6, 197),
+                                               ("a:2,c:3", 4, 577), ("e:1,c:3", 5, 2271),
+                                               ("e:1,a:2,c:3", 4, 1489), ("c:3,d:4", 3, 151)])
+def test_the_tree_rank_stream_is_the_slice_walk(text, top, elements):
+    """Fed the rows of the rank below, the trees' ``up_rows`` yields the
+    trees of the slice walk in its canonical order, each with the base
+    class's compose-built row, and leaves the rows it was fed as they were."""
+    op = TreeUniverse(Alphabet.parse(text))
+    graph = prefix_graph(op)
+    below, seen = {}, 0
+    for rank in range(top + 1):
+        fed = {x: dict(row) for x, row in below.items()}
+        streamed = list(op.up_rows(rank, below))
+        assert [x for x, _ in streamed] == [x for x, _ in graph._slice_rows(rank, below)]
+        for x, row in streamed:
+            assert row == Operad.up_row(op, x), x
+        assert below == fed
+        seen += len(streamed)
+        below = dict(streamed)
+    assert seen == elements
+
+
+def test_the_unseeded_tree_rank_stream_does_not_recurse():
+    """With no rows below, the stream expands a unary tree 1500 deep,
+    every subtree of it included, with its explicit stack."""
+    [(t, row)] = TreeUniverse(Alphabet.parse("e:1")).up_rows(1500, {})
+    [(y, w)] = row.items()
+    assert (t.degree, y.degree, w) == (1500, 1501, 1)
+
+
 @pytest.mark.parametrize("make,top,checked", [(CompOperad, 6, 127),
                                               (lambda: FCatOperad(3), 5, 8220)],
                          ids=["comp", "fcat:3"])
@@ -263,9 +293,10 @@ def test_closed_form_stars_fill_no_reverse_edge_table(universe):
 def test_the_twisted_graph_is_the_tree_of_its_parent_map(selector):
     """To rank 5, each element of ``v_explicit(p)`` has parent p, and each
     element of a slice but the unit is reached from exactly one p of the
-    slice below, once: V is the tree of ``v_parent``, every weight 1."""
+    slice below, once: V is the tree of ``v_parent``, every weight 1, and
+    the unit, where the parent map is not asked, has no parent."""
     op = get_operad(selector)
-    assert op.v_parent(op.unit) is None
+    assert twisted_graph(op).star(op.unit) == Combination(op)
     for rank in range(1, 6):
         below = op.elements_of_rank(rank - 1)
         for p in below:
