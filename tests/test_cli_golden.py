@@ -34,7 +34,9 @@ README = HERE.parent / "README.md"
 # series of the empty alphabet; then the empty alphabet's interval series,
 # whose trailing zeros at q = 0 come from --max alone; last a failing fcat:6
 # self pair, whose rank 2 comes out of canonical order (a letter reaches 10),
-# so its witness is the first failure in the canonical walk of that rank
+# so its witness is the first failure in the canonical walk of that rank;
+# then the oracle rows and minimal generators of comp, dias and fcat:2, which
+# reach every word operad's ``compose``
 EXTRA = [
     "export-dot --alphabet a:2 --graph v --max 3",
     "export-dot --alphabet a:2 --graph u --max 2 --json",
@@ -96,6 +98,11 @@ EXTRA = [
     "poset interval-series --alphabet '' --max 3 --q 0",
     "check-duality --operad fcat:6 --pair uu --max 2",
     "check-duality --operad fcat:6 --pair uu --max 2 --json",
+    "operad comp v-oracle --element 0110",
+    "operad dias v-oracle --element 101",
+    "operad fcat:2 v-oracle --element 012",
+    "operad comp generators --arity-max 5",
+    "operad dias generators --arity-max 5",
 ]
 
 
