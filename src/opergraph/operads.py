@@ -6,10 +6,15 @@ generators, and the rows (dicts element -> weight) of its two maps,
 and graded graphs over its elements.  Elements are plain ints (the chain),
 syntax trees (the free operad on an alphabet, ``TreeUniverse``, which also
 holds the trees' hooks ``hook_u``/``hook_v`` and ``phi_self``) or tuples of
-small ints: ``WordOperad`` holds what the word operads (dias, comp, motz,
-fcat:m) share, and each keeps only its own generators, shift, word
-predicate, slices, twisted map and diagonal.  ``generator_alphabet`` names
-each generator as a letter, for the treelike-expression oracles.
+small ints.  Each word operad is a suboperad of Giraudo's T(M) on a monoid
+M, and ``WordOperad.shift`` multiplies each inserted letter by the replaced
+one in M: ({0,1}, max) for dias, Z/2 (xor) for comp, (N, +) for motz and
+fcat:m.  comp and fcat:m are ``PrefixWordOperad``s, words from 0 on with
+each next letter drawn from ``nexts(last letter)``, and share one word
+predicate, slice, twisted map, parent map and rank stream; dias and motz
+keep their own.  The diagonal φ is the number of generators on as, comp and
+fcat:m.  ``generator_alphabet`` names each generator as a letter, for the
+treelike-expression oracles.
 
 ``Operad.up_row`` makes one ``compose`` per (generator, position) pair and
 stays the oracle; the chain and the word operads give their up rows
@@ -58,7 +63,7 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import repeat
 from math import comb, factorial, prod
-from operator import itemgetter
+from operator import add, itemgetter, xor
 
 from .alphabet import Alphabet, Letter
 from .graded_graph import GradedGraph, GradedGraphPair
@@ -138,8 +143,10 @@ class Operad:
         raise NotImplementedError
 
     def phi(self, x) -> int:
-        """Diagonal duality coefficient for this operad's dual pair."""
-        raise NotImplementedError
+        """Diagonal duality coefficient for this operad's dual pair.  It is the
+        number of generators on as, comp and fcat:m, whose pairs are r-dual
+        (V*U - UV* = r I) with r = 1, 2 and m + 1; the others override it."""
+        return len(self.generators)
 
     # -- the rows of the two maps ------------------------------------------
 
@@ -255,9 +262,6 @@ class AsOperad(Operad):
     def v_explicit(self, x):
         return [x + 1]
 
-    def phi(self, x):
-        return 1
-
     def up_row(self, x):
         """Grafting the one generator at any of the x positions gives x + 1."""
         return {x + 1: x}
@@ -268,17 +272,22 @@ class AsOperad(Operad):
 
 
 class WordOperad(Operad):
-    """Operads on nonempty int words, of arity their length: composing y at i
-    puts ``shift(x[i-1], y)`` in place of ``x[i-1]``; words pass ``is_word``."""
+    """Operads on nonempty int words, of arity their length, each a suboperad
+    of Giraudo's T(M) on a monoid M: composing y at i puts ``shift(x[i-1], y)``
+    in place of ``x[i-1]``; words pass ``is_word``."""
 
     unit = (0,)
+    # M's product, a builtin, so that it does not bind as a method
+    product = None
 
     def __init__(self):
         super().__init__()
         self._shifted: dict[int, list[tuple[int, ...]]] = {}
 
     def shift(self, pivot: int, y: tuple[int, ...]) -> tuple[int, ...]:
-        raise NotImplementedError
+        """Each letter of y multiplied by the pivot in M."""
+        product = self.product
+        return tuple([product(pivot, a) for a in y])
 
     def is_word(self, x: tuple[int, ...]) -> bool:
         raise NotImplementedError
@@ -326,15 +335,13 @@ def _words(n: int, nexts) -> list[tuple[int, ...]]:
 
 
 class DiasOperad(WordOperad):
-    """Binary words with exactly one 0; substitution lifts the inserted word
-    by the replaced letter."""
+    """Binary words with exactly one 0, in T({0,1}, max): substitution lifts
+    the inserted word by the replaced letter."""
 
     name = "dias"
     generators = ((0, 1), (1, 0))
     phi_pair = "uu"
-
-    def shift(self, pivot, y):
-        return tuple([max(pivot, a) for a in y])
+    product = max
 
     def is_word(self, x):
         return all(a in (0, 1) for a in x) and x.count(0) == 1
@@ -351,24 +358,22 @@ class DiasOperad(WordOperad):
         return (1 if k == 0 else 8 * k) + (1 if ell == 0 else 8 * ell)
 
 
-class CompOperad(WordOperad):
-    """Binary words starting with 0; substitution complements the inserted
-    word under a 1."""
+class PrefixWordOperad(WordOperad):
+    """Words from 0 on, each next letter drawn from ``nexts(last letter)``, in
+    ascending order.  The twisted map appends a letter, so V is the tree of
+    prefixes, and a word's up row grows from its prefix's row."""
 
-    name = "comp"
-    generators = ((0, 0), (0, 1))
-
-    def shift(self, pivot, y):
-        return y if pivot == 0 else tuple([1 - a for a in y])
+    def nexts(self, a: int):
+        raise NotImplementedError
 
     def is_word(self, x):
-        return x[0] == 0 and all(a in (0, 1) for a in x)
+        return x[0] == 0 and all(b in self.nexts(a) for a, b in zip(x, x[1:]))
 
     def elements_of_arity(self, n):
-        return _words(n, lambda a, rest: (0, 1))
+        return _words(n, lambda a, rest: self.nexts(a))
 
     def v_explicit(self, x):
-        return [x + (0,), x + (1,)]
+        return [x + (b,) for b in self.nexts(x[-1])]
 
     # a word of length >= 2 comes only from its own prefix, once
     v_parent = itemgetter(slice(None, -1))
@@ -395,23 +400,30 @@ class CompOperad(WordOperad):
                     row[y] = row.get(y, 0) + 1
                 yield x, row
 
-    def phi(self, x):
-        return 2
+
+class CompOperad(PrefixWordOperad):
+    """Binary words starting with 0, in T(Z/2): substitution complements the
+    inserted word under a 1."""
+
+    name = "comp"
+    generators = ((0, 0), (0, 1))
+    product = xor
+
+    def nexts(self, a):
+        return (0, 1)
 
 
 class MotzOperad(WordOperad):
-    """Nonnegative words from 0 to 0 with unit steps; substitution shifts the
-    inserted word up by the replaced letter."""
+    """Nonnegative words from 0 to 0 with unit steps, in T(N, +): substitution
+    shifts the inserted word up by the replaced letter."""
 
     name = "motz"
     generators = ((0, 0), (0, 1, 0))
+    product = add
 
     def degree(self, x):
         ascents = sum(1 for a, b in zip(x, x[1:]) if b == a + 1)
         return len(x) - 1 - ascents
-
-    def shift(self, pivot, y):
-        return tuple([a + pivot for a in y])
 
     def is_word(self, x):
         return (x[0] == 0 and x[-1] == 0 and all(a >= 0 for a in x)
@@ -435,9 +447,11 @@ class MotzOperad(WordOperad):
         return 2 + sum(1 for a, b in zip(x, x[1:]) if a != b)
 
 
-class FCatOperad(WordOperad):
-    """Nonnegative words with 0 first and ascents bounded by m; substitution
-    shifts the inserted word up by the replaced letter."""
+class FCatOperad(PrefixWordOperad):
+    """Nonnegative words with 0 first and ascents bounded by m, in T(N, +):
+    substitution shifts the inserted word up by the replaced letter."""
+
+    product = add
 
     def __init__(self, m: int):
         if m < 0:
@@ -447,24 +461,8 @@ class FCatOperad(WordOperad):
         self.generators = tuple((0, a) for a in range(m + 1))
         super().__init__()
 
-    def shift(self, pivot, y):
-        return tuple([a + pivot for a in y])
-
-    def is_word(self, x):
-        return (x[0] == 0 and all(a >= 0 for a in x)
-                and all(b <= a + self.m for a, b in zip(x, x[1:])))
-
-    def elements_of_arity(self, n):
-        return _words(n, lambda a, rest: range(a + self.m + 1))
-
-    def v_explicit(self, x):
-        return [x + (a,) for a in range(x[-1] + self.m + 1)]
-
-    v_parent = CompOperad.v_parent
-    up_rows = CompOperad.up_rows
-
-    def phi(self, x):
-        return self.m + 1
+    def nexts(self, a):
+        return range(a + self.m + 1)
 
 
 class TreeUniverse(Operad):

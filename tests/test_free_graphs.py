@@ -51,7 +51,7 @@ def test_v_star_free_recurrence_cases(a2c3, eac):
     })
 
 
-@pytest.mark.parametrize("alphabet_text", ["a:2", "a:2,c:3", "e:1,c:3"])
+@pytest.mark.parametrize("alphabet_text", ["a:2", "a:2,c:3", "e:1,c:3", "e:1,f:5"])
 def test_v_star_equals_quasi_maximal_contractions(alphabet_text):
     alphabet = Alphabet.parse(alphabet_text)
     universe = TreeUniverse(alphabet)

@@ -52,7 +52,7 @@ def test_explicit_adjoints_match_generic(a2c3):
 STAR_UNIVERSES = ([(get_operad(sel), 5) for sel in ("as", "comp", "motz", "dias",
                                                    "fcat:0", "fcat:1", "fcat:2", "fcat:3")]
                   + [(operads.TreeUniverse(Alphabet.parse(text)), 4)
-                     for text in ("a:2", "a:2,c:3", "e:1,c:3")])
+                     for text in ("a:2", "a:2,c:3", "e:1,c:3", "a:2,f:5")])
 
 
 @pytest.mark.parametrize("universe,d", STAR_UNIVERSES, ids=lambda v: getattr(v, "name", None))

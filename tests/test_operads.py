@@ -21,8 +21,10 @@ AS = get_operad("as")
 DIAS = get_operad("dias")
 COMP = get_operad("comp")
 MOTZ = get_operad("motz")
+FCAT0 = get_operad("fcat:0")
 FCAT1 = get_operad("fcat:1")
 FCAT2 = get_operad("fcat:2")
+FCAT3 = get_operad("fcat:3")
 
 
 def elements_up_to(op, d):
@@ -72,7 +74,7 @@ def test_compose_examples():
 
 
 def test_unit_axioms_sampled():
-    for op in (DIAS, COMP, MOTZ, FCAT1):
+    for op in (DIAS, COMP, MOTZ, FCAT0, FCAT1, FCAT3):
         for x in elements_up_to(op, 3):
             assert op.compose(op.unit, 1, x) == x
             for i in range(1, op.arity(x) + 1):
@@ -80,7 +82,7 @@ def test_unit_axioms_sampled():
 
 
 def test_operad_axioms_sampled():
-    for op in (DIAS, COMP, MOTZ):
+    for op in (DIAS, COMP, MOTZ, FCAT0, FCAT3):
         pool = elements_up_to(op, 2)
         for x in pool:
             for y in pool:
@@ -92,8 +94,23 @@ def test_operad_axioms_sampled():
                             assert lhs == rhs
 
 
+@pytest.mark.parametrize("op", [DIAS, COMP, MOTZ, FCAT0, FCAT1, FCAT3], ids=lambda op: op.name)
+def test_parallel_composition_sampled(op):
+    """Grafts at two inputs i < j of x commute, the later input moving along
+    by the arity of what fills the earlier one."""
+    pool = elements_up_to(op, 2)
+    compose = op.compose
+    for x in pool:
+        for i in range(1, op.arity(x) + 1):
+            for j in range(i + 1, op.arity(x) + 1):
+                for y in pool:
+                    for z in pool:
+                        lhs = compose(compose(x, j, z), i, y)
+                        assert lhs == compose(compose(x, i, y), j + op.arity(y) - 1, z)
+
+
 def test_membership_preserved_under_composition():
-    for op in (DIAS, COMP, MOTZ, FCAT2):
+    for op in (DIAS, COMP, MOTZ, FCAT0, FCAT2, FCAT3):
         pool = elements_up_to(op, 2)
         for x in pool:
             for y in pool:
@@ -454,6 +471,20 @@ def test_phi_examples():
     pair = self_pair(DIAS)
     assert pair.duality_commutator((1, 0)) == Combination(DIAS, {(1, 0): 9})
     assert pair.duality_commutator((0,)) == Combination(DIAS, {(0,): 2})
+
+
+# elements to rank 5: 1 per rank for as, 2^n for comp, and for fcat:m the
+# Fuss-Catalan numbers C((m+1)(n+1), n+1) / (m(n+1)+1)
+@pytest.mark.parametrize("selector,checked", [("as", 6), ("comp", 63), ("fcat:0", 6),
+                                              ("fcat:1", 196), ("fcat:2", 1_772),
+                                              ("fcat:3", 8_220), ("fcat:4", 26_607)])
+def test_discovered_phi_is_the_number_of_generators(selector, checked):
+    """The r-dual pairs: discovery to rank 5 finds one diagonal coefficient,
+    the number of generators, which is ``phi``."""
+    op = get_operad(selector)
+    report = prefix_pair(op).check_phi_diagonal(None, 5)
+    assert (report.ok, report.checked) == (True, checked)
+    assert set(report.table.values()) == {len(op.generators)} == {op.phi(x) for x in report.table}
 
 
 def test_minimal_generators():

@@ -407,6 +407,8 @@ def test_distributivity_in_intervals(a2c3):
 def test_stringy_counts(a2, a2c3):
     assert [stringy_count(a2, d) for d in range(8)] == [1, 1, 2, 4, 8, 16, 32, 64]
     assert stringy_count(a2c3, 4) == 250
+    assert [stringy_count(a2, d) for d in range(11)] == [
+        sum(map(is_stringy, enumerate_trees(a2, d))) for d in range(11)]
 
 
 def test_stringy_trees_are_the_co_irreducibles(a2c3):
