@@ -55,12 +55,14 @@ puts a new root, and build no tree.  The row sums are the tests' oracle.
 
 The graph builders at the end of this module are the only ones.  They take
 any operad, the free ones included, and build a new graph on every call:
-its reverse-edge table is the caller's, and goes with the graph.
+its reverse-edge table is the caller's, and goes with the graph.  So does
+``get_operad`` build a new operad on every call, and its degree slices and
+shifted generators go with it.
 """
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 from math import comb, factorial, prod
 from operator import add, itemgetter, xor
@@ -68,8 +70,8 @@ from operator import add, itemgetter, xor
 from .alphabet import Alphabet, Letter
 from .graded_graph import GradedGraph, GradedGraphPair
 from .poly import Combination
-from .tree import (LEAF, SyntaxTree, _contractions, _deletions, _nodes, _rebuild, _subtrees,
-                   compose_index, corolla, enumerate_trees, nf, parse_term)
+from .tree import (LEAF, SyntaxTree, _contractions, _deletions, _next_tree_slice, _nodes,
+                   _rebuild, _subtrees, compose_index, corolla, enumerate_trees, nf, parse_term)
 
 
 class OracleBoundError(ValueError):
@@ -205,16 +207,21 @@ class Operad:
         return (self.degree(x), self.render_elem(x))
 
     def elements_of_rank(self, d: int) -> list:
-        """Degree slice, the union of the up rows of the slice below
-        (complete because every element is built from generators)."""
+        """Degree slice d; the slices grow a ``_next_slice`` at a time."""
         if d < 0:
             raise ValueError("degree must be >= 0")
-        while len(self._degree_slices) <= d:
-            grown = set()
-            for x in self._degree_slices[-1]:
-                grown.update(self.up_row(x))
-            self._degree_slices.append(sorted(grown, key=self.sort_key))
-        return self._degree_slices[d]
+        slices = self._degree_slices
+        while len(slices) <= d:
+            slices.append(self._next_slice(slices))
+        return slices[d]
+
+    def _next_slice(self, slices: list) -> list:
+        """The union of the up rows of the last slice (complete because every
+        element is built from generators), sorted."""
+        grown = set()
+        for x in slices[-1]:
+            grown.update(self.up_row(x))
+        return sorted(grown, key=self.sort_key)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.name == other.name
@@ -468,8 +475,8 @@ class FCatOperad(PrefixWordOperad):
 class TreeUniverse(Operad):
     """The free nonsymmetric operad on an alphabet: trees graded by degree,
     composed by grafting onto the i-th leaf, generated by the corollas in
-    alphabet order (its own generator alphabet).  Its slices come from
-    ``tree.enumerate_trees``, so the base slice cache is never built.  Star
+    alphabet order (its own generator alphabet).  Its slices grow by the
+    trees' product step, ``tree._next_tree_slice``, not by up rows.  Star
     rows, the up rows' rank stream, twisted out-degree, hooks and
     ``phi_self`` are closed forms."""
 
@@ -477,6 +484,7 @@ class TreeUniverse(Operad):
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
+        super().__init__()
 
     @cached_property
     def name(self) -> str:
@@ -504,8 +512,8 @@ class TreeUniverse(Operad):
         return isinstance(t, SyntaxTree) and all(
             sub.letter in self.alphabet for sub in _subtrees(t))
 
-    def elements_of_rank(self, d: int) -> list[SyntaxTree]:
-        return enumerate_trees(self.alphabet, d)
+    def _next_slice(self, slices: list) -> list[SyntaxTree]:
+        return _next_tree_slice(self.alphabet, slices)
 
     def render_elem(self, t: SyntaxTree) -> str:
         return t.term
@@ -652,9 +660,9 @@ _OPERADS = {"as": AsOperad, "dias": DiasOperad, "comp": CompOperad, "motz": Motz
 FCAT_MAX_M = 10_000
 
 
-@lru_cache(maxsize=None)
 def get_operad(selector: str) -> Operad:
-    """Selector strings: as | dias | comp | motz | fcat:<m>; one operad per normal form."""
+    """Selector strings: as | dias | comp | motz | fcat:<m>, in any case.  Each
+    call builds a new operad, equal to every other of its name."""
     key = selector.strip().lower()
     name, _, m = key.partition(":")
     if name == "fcat":
@@ -666,12 +674,10 @@ def get_operad(selector: str) -> Operad:
             raise ValueError(f"expected fcat:<m> with an integer m >= 0, got {selector!r}")
         if m > FCAT_MAX_M:
             raise ValueError(f"fcat:<m> takes m up to {FCAT_MAX_M}, got {selector!r}")
-        key = f"fcat:{m}"
-    elif key not in _OPERADS:
+        return FCatOperad(m)
+    if key not in _OPERADS:
         raise ValueError(f"unknown operad selector {selector!r}")
-    if key != selector:
-        return get_operad(key)
-    return FCatOperad(m) if name == "fcat" else _OPERADS[key]()
+    return _OPERADS[key]()
 
 
 # -- treelike expressions ------------------------------------------------------------

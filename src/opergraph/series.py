@@ -36,15 +36,11 @@ class Series2:
     def coeff(self, q: int, t: int) -> int:
         return self.coeffs.get((q, t), 0)
 
-    def max_t_degree(self) -> int:
-        return max((j for (_, j) in self.coeffs), default=0)
-
-    def t_coeff_list(self, up_to: int | None = None) -> list[int]:
-        """Coefficient list of a univariate series, ascending t-degree."""
+    def t_coeff_list(self, up_to: int) -> list[int]:
+        """Coefficients of a univariate series at t^0..t^up_to."""
         if any(i for (i, _) in self.coeffs):
             raise ValueError("series involves q; not univariate in t")
-        top = self.max_t_degree() if up_to is None else up_to
-        return [self.coeffs.get((0, j), 0) for j in range(top + 1)]
+        return [self.coeffs.get((0, j), 0) for j in range(up_to + 1)]
 
     def eval_q(self, value: int) -> "Series2":
         out: dict[tuple[int, int], int] = {}

@@ -8,8 +8,9 @@ for the leaf, ``name[child,...]`` for internal nodes) is the print form and
 the sole ordering witness; it is rendered on first use and cached on the
 node.  Each node also caches its deletions and contractions (the two star
 maps).  The intern table holds each tree weakly: a tree that no caller holds
-is freed, with those caches, and its entry leaves the table.
-The free operad these trees form is ``operads.TreeUniverse``.
+is freed, with those caches, and its entry leaves the table: the module's
+one cache.  The free operad these trees form is ``operads.TreeUniverse``,
+which holds its own degree slices, grown by ``_next_tree_slice``.
 
 Public ``node`` copies its children and checks them against the letter's
 arity.  Internal walks whose children always fit (the parser, rebuilds
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .alphabet import Alphabet, Letter
@@ -487,12 +487,6 @@ def _contractions(t: SyntaxTree) -> tuple[SyntaxTree, ...]:
 
 # -- enumeration and prefix order ------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _degree_slices(alphabet: Alphabet) -> list[tuple[SyntaxTree, ...]]:
-    """The degree slices of the alphabet built so far, from degree 0 up."""
-    return [(LEAF,)]
-
-
 def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     if parts == 1:
         return ((total,),)
@@ -501,20 +495,28 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
                  for rest in _compositions(total - first, parts - 1))
 
 
+def _next_tree_slice(alphabet: Alphabet, slices: list) -> list[SyntaxTree]:
+    """The slice above ``slices`` (every slice from degree 0 up): each letter
+    over each choice of children whose degrees add up to the top degree
+    there, in canonical (term-lexicographic) order."""
+    below = len(slices) - 1
+    out = [t for letter in alphabet
+           for split in _compositions(below, letter.arity)
+           for t in _nodes(letter, product(*[slices[d] for d in split]))]
+    out.sort(key=lambda t: t.term)
+    return out
+
+
 def enumerate_trees(alphabet: Alphabet, degree: int) -> list[SyntaxTree]:
     """All trees over the alphabet with the given number of internal nodes,
-    in canonical (term-lexicographic) order.  Missing slices are filled
-    bottom-up, so a deep slice costs no recursion."""
+    in canonical order, built bottom-up in a list that goes with the call,
+    so a deep slice costs no recursion."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    slices = _degree_slices(alphabet)
+    slices = [[LEAF]]
     while len(slices) <= degree:
-        below = len(slices) - 1
-        out = [t for letter in alphabet
-               for split in _compositions(below, letter.arity)
-               for t in _nodes(letter, product(*[slices[d] for d in split]))]
-        slices.append(tuple(sorted(out, key=lambda t: t.term)))
-    return list(slices[degree])
+        slices.append(_next_tree_slice(alphabet, slices))
+    return slices[degree]
 
 
 def is_prefix(s: SyntaxTree, t: SyntaxTree) -> bool:

@@ -89,11 +89,6 @@ def load(s: tuple) -> int:
 
 # -- intervals ----------------------------------------------------------------------
 
-def prefixes(t: SyntaxTree) -> list[SyntaxTree]:
-    """All prefixes of t, sorted canonically (by degree, then term)."""
-    return sorted(_prefixes(t), key=_degree)
-
-
 def _prefixes(t: SyntaxTree) -> tuple[SyntaxTree, ...]:
     """The prefixes of t in term order: the leaf, then t's letter over the
     product of the children's lists.  Terms are prefix-free and ``*`` sorts
@@ -246,9 +241,5 @@ def _weighted_row(pows: list[list[list[int]]], weights: dict[int, int], n: int) 
 
 def interval_count_brute(alphabet: Alphabet, lower_degree: int, upper_degree: int) -> int:
     """Directly count comparable pairs (s, t) with the given degrees."""
-    total = 0
-    for t in enumerate_trees(alphabet, upper_degree):
-        for s in enumerate_trees(alphabet, lower_degree):
-            if is_prefix(s, t):
-                total += 1
-    return total
+    lower = enumerate_trees(alphabet, lower_degree)
+    return sum(is_prefix(s, t) for t in enumerate_trees(alphabet, upper_degree) for s in lower)

@@ -15,8 +15,8 @@ from opergraph.cli import verify_fixtures
 from opergraph.free_graphs import phi_free, theta_row_sums
 from opergraph.operads import TreeUniverse, get_operad
 from opergraph.tree import nf
-from opergraph.tree_poset import (interval, interval_series, join, load, meet,
-                                  poset_leq, prefixes, shadow)
+from opergraph.tree_poset import (interval, interval_elements, interval_series, join, load,
+                                  meet, poset_leq, shadow)
 
 from oracles import linear_extensions
 
@@ -137,13 +137,13 @@ def test_criterion_07_lattice_properties():
         for s in trees:
             for t in trees:
                 glb = meet(s, t)
-                lower = [r for r in prefixes(s) if poset_leq(r, t)]
+                lower = [r for r in interval_elements(LEAF, s) if poset_leq(r, t)]
                 assert glb in lower and all(poset_leq(r, glb) for r in lower)
                 lub = join(s, t)
                 if lub is None:
                     continue
                 assert poset_leq(s, lub) and poset_leq(t, lub)
-                for p in prefixes(lub):
+                for p in interval_elements(LEAF, lub):
                     if p is not lub:
                         assert not (poset_leq(s, p) and poset_leq(t, p))
 

@@ -1,10 +1,12 @@
 import contextlib
+import gc
 import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -53,6 +55,23 @@ def test_hook_commands(capsys):
     code, out = run(capsys, "twisted-hook", "--alphabet", "a:2,c:3", "--degree", "2")
     assert code == 0
     assert sum(int(line.rsplit(" ", 1)[1]) for line in out.splitlines()) == 10
+
+
+def test_a_hook_call_leaves_its_trees_behind_it(capsys):
+    """The universe a command builds holds its slices, and the trees go with
+    it: after the call only a little of what it allocated is still held.
+    The letters are a:2,c:3 renamed, so that no other test has built these
+    trees before."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(["hook", "--alphabet", "ha:2,hc:3", "--degree", "6"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 34970
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 5 * 2 ** 20
 
 
 def test_check_duality_free_passes(capsys):

@@ -14,6 +14,7 @@ from opergraph.operads import (AsOperad, CompOperad, FCatOperad, OracleBoundErro
                                prefix_graph, prefix_pair, render_word,
                                self_pair, treelike_expressions, twisted_graph,
                                v_operad_oracle)
+from opergraph.tree import _INTERN
 
 from oracles import operad_poset_leq
 
@@ -52,7 +53,8 @@ def test_render_word_matches_the_joins_on_wide_letters(u):
 
 
 def test_selectors_and_codec():
-    assert get_operad("fcat:2") is FCAT2
+    assert get_operad("fcat:2") == FCAT2
+    assert get_operad("comp") is not get_operad("comp")
     with pytest.raises(ValueError):
         get_operad("nope")
     assert COMP.parse_elem("0101") == (0, 1, 0, 1)
@@ -547,8 +549,8 @@ def test_evaluation_is_an_order_preserving_surjection():
         for t in enumerate_trees(alphabet, d):
             x = evaluate_tree(op, t)
             images.add(x)
-            from opergraph.tree_poset import prefixes
-            for s in prefixes(t):
+            from opergraph.tree_poset import interval_elements
+            for s in interval_elements(LEAF, t):
                 assert operad_poset_leq(op, evaluate_tree(op, s), x)
     assert images == set(elements_up_to(op, 4))
 
@@ -659,7 +661,32 @@ def test_builders_give_fresh_graphs_and_a_dropped_pair_is_freed():
     assert dropped() is None
 
 
+def test_a_dropped_operad_is_freed():
+    """get_operad keeps no table: an operad, its slices and its shifted
+    generators go once the caller drops it."""
+    op = get_operad("motz")
+    assert prefix_pair(op).check_phi_diagonal(op.phi, 3).ok
+    assert len(op._degree_slices) > 1
+    dropped = weakref.ref(op)
+    del op
+    gc.collect()
+    assert dropped() is None
+
+
+def test_a_dropped_universe_leaves_the_intern_table():
+    """A TreeUniverse holds its own slices: once it is dropped, none of its
+    trees is left in the intern table."""
+    universe = TreeUniverse(Alphabet.parse("drop_a:2,drop_b:1"))
+    names = [letter.name for letter in universe.alphabet]
+    assert len(universe.elements_of_rank(5)) == 394
+    assert all(_INTERN[name] for name in names)
+    del universe
+    gc.collect()
+    assert not any(_INTERN[name] for name in names)
+
+
 def test_every_spelling_of_a_selector_gets_one_operad():
-    assert get_operad("FCAT:1") is get_operad("fcat:1")
-    assert get_operad(" fcat:01 ") is FCAT1
-    assert get_operad(" As") is AS
+    assert get_operad("FCAT:1") == get_operad("fcat:1")
+    assert get_operad(" fcat:01 ") == FCAT1
+    assert get_operad(" As") == AS
+    assert get_operad("comp") is not get_operad("comp")

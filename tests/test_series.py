@@ -25,7 +25,7 @@ def test_fractions_are_rejected():
         Series2({(0, 0): Fraction(4, 2)})
     with pytest.raises(TypeError):
         Series2({(0, 0): 1, (0, 1): 2.0})
-    assert Series2({(0, 0): 1, (0, 1): 2, (0, 2): 3}).t_coeff_list() == [1, 2, 3]
+    assert Series2({(0, 0): 1, (0, 1): 2, (0, 2): 3}).t_coeff_list(2) == [1, 2, 3]
 
 
 def test_eval_q():

@@ -473,11 +473,7 @@ def test_module_caches_are_the_pinned_ones():
         for name, value in vars(module).items():
             if hasattr(value, "cache_info") and value.__module__ == module.__name__:
                 found.add(f"{module.__name__}.{name}")
-    assert found == {
-        "opergraph.tree._INTERN",
-        "opergraph.tree._degree_slices",
-        "opergraph.operads.get_operad",
-    }
+    assert found == {"opergraph.tree._INTERN"}
     assert not hasattr(nf, "cache_info")
     assert not hasattr(free_graphs, "_DEGREE_PRODUCTS")
     assert not hasattr(free_graphs, "_TWISTED_HOOKS")

@@ -11,7 +11,7 @@ from opergraph.tree_poset import (NotComparableError, difference_forest,
                                   interval, interval_count, interval_count_brute,
                                   interval_elements, interval_series,
                                   interval_shadow, join, load,
-                                  meet, poset_leq, prefixes, shadow,
+                                  meet, poset_leq, shadow,
                                   stringy_count)
 from opergraph.tree import _INTERN
 
@@ -77,7 +77,7 @@ def test_meet_is_glb_and_join_is_lub_exhaustive(alphabet_text):
     for s in trees:
         for t in trees:
             glb = meet(s, t)
-            lower = [r for r in prefixes(s) if poset_leq(r, t)]
+            lower = [r for r in interval_elements(LEAF, s) if poset_leq(r, t)]
             assert glb in lower
             assert all(poset_leq(r, glb) for r in lower)
 
@@ -86,7 +86,7 @@ def test_meet_is_glb_and_join_is_lub_exhaustive(alphabet_text):
             if lub is None:
                 continue
             assert poset_leq(s, lub) and poset_leq(t, lub)
-            for p in prefixes(lub):
+            for p in interval_elements(LEAF, lub):
                 if p is not lub:
                     assert not (poset_leq(s, p) and poset_leq(t, p))
 
@@ -113,7 +113,7 @@ def test_difference_forest(a2):
     trees = all_trees(a2, 5)
     for _ in range(100):
         t = rng.choice(trees)
-        s = rng.choice(prefixes(t))
+        s = rng.choice(interval_elements(LEAF, t))
         assert compose_forest(s, difference_forest(s, t)) == t
 
 
@@ -163,7 +163,7 @@ def test_load_counts_prefixes(a2):
     root = Alphabet.parse("a:2,r:1")["r"]
     for d in range(1, 5):
         for t in enumerate_trees(a2, d):
-            assert load(shadow(node(root, (t,)))) == len(prefixes(t))
+            assert load(shadow(node(root, (t,)))) == len(interval_elements(LEAF, t))
 
 
 def test_interval_examples(a2):
@@ -317,7 +317,7 @@ def test_dropped_query_answers_leave_the_intern_table(eac):
 def test_interval_elements_are_the_prefixes_above_the_lower_bound(eac):
     trees = all_trees(eac, 3)
     for t in trees:
-        below = prefixes(t)
+        below = interval_elements(LEAF, t)
         for s in trees:
             if poset_leq(s, t):
                 assert interval(s, t, "elements") == [r for r in below if poset_leq(s, r)]
@@ -337,7 +337,7 @@ def _canonical(trees):
 
 def _check_term_order_by_construction(trees):
     for t in trees:
-        below = prefixes(t)
+        below = interval_elements(LEAF, t)
         assert below == _canonical(below)
         for s in below:
             inside = interval(s, t, "elements")
@@ -345,7 +345,7 @@ def _check_term_order_by_construction(trees):
 
 
 def test_intervals_come_out_in_canonical_order(eac):
-    """prefixes and interval_elements sort by degree alone; the term order
+    """interval_elements sorts by degree alone; the term order
     within a degree comes from how the lists are built.  Every comparable
     pair of trees to degree 4 (the lower bounds of t are its prefixes)."""
     _check_term_order_by_construction(all_trees(eac, 4))
@@ -533,7 +533,7 @@ def test_interval_join_irreducibles_are_slot_grafted_stringy_prefixes(a2):
             join_irreducible.add(x)
     expected = set()
     for i, r in enumerate(forest):
-        for p in prefixes(r):
+        for p in interval_elements(LEAF, r):
             if not p.is_leaf and is_stringy(p):
                 from opergraph import compose_index
                 expected.add(compose_index(bottom, i + 1, p))
